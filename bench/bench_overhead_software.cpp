@@ -6,7 +6,7 @@
 // the SPEC programs' executed instructions.  This bench reproduces that
 // ratio from measured input sizes and instruction counts.
 //
-// Part 2: the src/analysis static analyzer proves most dereference sites
+// Part 2: the src/analysis value-set prover proves most dereference sites
 // can never carry a tainted address; the interpreter then skips the
 // per-dereference detection check at those PCs.  The second table reports
 // the analysis coverage (sites proven clean) and the measured interpreter
@@ -17,7 +17,6 @@
 #include <cstdlib>
 
 #include "analysis/cfg.hpp"
-#include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
 #include "core/spec_workloads.hpp"
 
@@ -58,41 +57,41 @@ int main(int argc, char** argv) {
 
   std::printf("\n== Static check-elision: coverage and interpreter "
               "speedup ==\n\n");
-  std::printf("%-8s %8s %8s %8s %9s %10s %10s %8s\n", "program", "sites",
-              "gen1", "gen2", "elidable", "base ms", "elide ms", "speedup");
+  std::printf("%-8s %8s %8s %9s %10s %10s %8s\n", "program", "sites", "vsa",
+              "elidable", "base ms", "elide ms", "speedup");
   constexpr int kReps = 3;  // min-of-3 rejects scheduler noise
   double base_total = 0.0, elide_total = 0.0;
   for (const auto& w : make_spec_workloads(scale)) {
     const analysis::Cfg cfg(prepare_spec_workload(w)->program());
-    const analysis::TaintAnalysis ta = analysis::analyze_taint(cfg, {});
-    const analysis::Gen2Elision gen2 = analysis::gen2_elision(cfg, {});
+    const analysis::VsaAnalysis vsa = analysis::analyze_vsa(cfg, {});
+    const auto elided_sites = static_cast<size_t>(
+        std::count(vsa.elision.begin(), vsa.elision.end(), 1));
     double base_ms = 1e300, elide_ms = 1e300;
     for (int rep = 0; rep < kReps; ++rep) {
       auto base = prepare_spec_workload(w);
       base_ms = std::min(base_ms, run_ms(*base));
       auto elided = prepare_spec_workload(w);
-      elided->enable_static_elision();  // installs the gen-2 union table
+      elided->enable_static_elision();  // installs vsa.elision
       elide_ms = std::min(elide_ms, run_ms(*elided));
     }
     base_total += base_ms;
     elide_total += elide_ms;
 
     std::printf(
-        "%-8s %8zu %8zu %8zu %8.1f%% %10.1f %10.1f %7.2fx\n", w.name.c_str(),
-        ta.sites.size(), gen2.gen1_clean, gen2.gen2_clean,
-        ta.sites.empty() ? 0.0
-                         : 100.0 * static_cast<double>(gen2.gen2_clean) /
-                               static_cast<double>(ta.sites.size()),
+        "%-8s %8zu %8zu %8.1f%% %10.1f %10.1f %7.2fx\n", w.name.c_str(),
+        vsa.sites.size(), elided_sites,
+        vsa.sites.empty() ? 0.0
+                          : 100.0 * static_cast<double>(elided_sites) /
+                                static_cast<double>(vsa.sites.size()),
         base_ms, elide_ms, elide_ms > 0.0 ? base_ms / elide_ms : 0.0);
   }
-  std::printf("%-8s %8s %8s %8s %9s %10.1f %10.1f %7.2fx\n", "total", "", "",
-              "", "", base_total, elide_total,
+  std::printf("%-8s %8s %8s %9s %10.1f %10.1f %7.2fx\n", "total", "", "", "",
+              base_total, elide_total,
               elide_total > 0.0 ? base_total / elide_total : 0.0);
-  std::printf("\nverdicts are unchanged by construction: the gen-2 table "
-              "(register-only analyzer\nunioned with the value-set prover, "
-              "docs/ANALYSIS.md) only covers sites proven\nuntainted on "
-              "every path (ptaint-campaign --check --elide pins this on "
-              "the full\nmatrix; --static-check adds the bidirectional "
-              "alert/witness consistency leg).\n");
+  std::printf("\nverdicts are unchanged by construction: the value-set "
+              "prover's table (docs/ANALYSIS.md)\nonly covers sites proven "
+              "untainted on every path, or dead (ptaint-campaign\n--check "
+              "--elide pins this on the full matrix; --static-check adds "
+              "the\nbidirectional alert/witness consistency leg).\n");
   return 0;
 }

@@ -1,7 +1,7 @@
 // Control-flow graph recovery for assembled PTA-32 programs.
 //
 // Lifts an asmgen::Program text segment into basic blocks, functions and a
-// call graph, ready for the dataflow pass (taint_analyzer) and the linter.
+// call graph, ready for the value-set prover (vsa.cpp) and the linter.
 //
 // Block leaders: the program entry, every function label, every branch /
 // jump target, and every instruction following a terminator.  Terminators

@@ -1,21 +1,20 @@
-// Abstract taint lattice for the static pointer-taintedness analyzer.
+// Abstract taint lattice for the static pointer-taintedness prover.
 //
 // The dynamic detector (src/cpu) tracks one taint bit per byte.  The static
-// analyzer abstracts a whole 32-bit register into a three-point lattice:
+// prover abstracts a whole 32-bit value into a three-point lattice:
 //
 //     Untainted  <  MaybeTainted  <  Top
 //
 //   * Untainted     — no byte of the register can be tainted on any
 //                     execution reaching this point (a *must* claim; only
 //                     these sites are eligible for check elision);
-//   * MaybeTainted  — some execution may leave a tainted byte here (the
-//                     abstract image of every load, since memory contents
-//                     are summarized as possibly tainted);
+//   * MaybeTainted  — some execution may leave a tainted byte here (input
+//                     bytes, and memory the prover cannot name precisely);
 //   * Top           — no information (states merged across unresolved
 //                     indirect control flow).
 //
 // Join is max; the transfer function is monotone, so the worklist iteration
-// in taint_analyzer.cpp terminates.  Soundness direction: the static value
+// in vsa.cpp terminates.  Soundness direction: the static value
 // must always be >= the dynamic taintedness, never below it.
 #pragma once
 
@@ -39,7 +38,14 @@ constexpr Taint join(Taint a, Taint b) { return a < b ? b : a; }
 /// detector could fire on a dereference of this register.
 constexpr bool may_be_tainted(Taint t) { return t != Taint::kUntainted; }
 
-const char* to_string(Taint t);
+constexpr const char* to_string(Taint t) {
+  switch (t) {
+    case Taint::kUntainted: return "untainted";
+    case Taint::kMaybeTainted: return "maybe-tainted";
+    case Taint::kTop: return "top";
+  }
+  return "?";
+}
 
 // ---- value sets ------------------------------------------------------------
 //
@@ -62,8 +68,8 @@ const char* to_string(Taint t);
 // the allocation area its base came from.  It is *weaker* than full
 // soundness (a wild offset can physically reach another region); the
 // bidirectional `ptaint-campaign --static-check` leg revalidates it
-// empirically against every dynamic alert, mirroring the recovered-CFG
-// caveat already documented for the register-only analyzer.
+// empirically against every dynamic alert, like the recovered-CFG caveat
+// (docs/ANALYSIS.md).
 enum class VsKind : uint8_t {
   kConst = 0,       // exactly `value`
   kStackRel = 1,    // function-entry $sp plus `value` (byte offset)

@@ -1,6 +1,5 @@
 #include "analysis/summary_cache.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -8,10 +7,8 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <utility>
 
 #include "analysis/cfg.hpp"
-#include "analysis/taint_analyzer.hpp"
 
 namespace ptaint::analysis {
 
@@ -31,12 +28,6 @@ struct Fnv {
   void mix(uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       h ^= (v >> (8 * i)) & 0xff;
-      h *= kFnvPrime;
-    }
-  }
-  void mix_bytes(const uint8_t* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= p[i];
       h *= kFnvPrime;
     }
   }
@@ -83,152 +74,6 @@ uint64_t program_hash(const asmgen::Program& program) {
   return f.h;
 }
 
-/// Per-function chained content hashes over the call graph's SCC
-/// condensation (iterative Tarjan), bottom-up: each function's hash folds
-/// in the hashes of everything its facts depend on, so comparing one
-/// number per function decides the full transitive dirty set.
-std::vector<std::pair<uint32_t, uint64_t>> function_hashes(
-    const Cfg& cfg, const asmgen::Program& program) {
-  const auto& fns = cfg.functions();
-  const auto& blocks = cfg.blocks();
-  const size_t n = fns.size();
-
-  // Global label fingerprint: a moved or added label changes block
-  // structure and `jr` fanout program-wide, so it dirties every function.
-  Fnv label_fp;
-  for (const auto& [pc, name] : program.text_labels) label_fp.mix(pc);
-  for (const auto& [pc, name] : program.function_labels) label_fp.mix(pc);
-
-  // Orphan text (before the first function entry) has no hash owner; its
-  // flows can reach anything, so fold its words into the fingerprint too.
-  for (const BasicBlock& bb : blocks) {
-    if (bb.function >= 0) continue;
-    for (uint32_t pc = bb.begin; pc < bb.end; pc += 4) {
-      label_fp.mix(program.text[cfg.index_of(pc)]);
-    }
-  }
-
-  std::vector<uint64_t> local(n);
-  for (size_t i = 0; i < n; ++i) {
-    Fnv f;
-    f.mix(kSchemaSalt);
-    f.mix(label_fp.h);
-    f.mix(fns[i].entry);
-    f.mix(fns[i].end);
-    for (uint32_t pc = fns[i].entry; pc < fns[i].end; pc += 4) {
-      f.mix(program.text[cfg.index_of(pc)]);
-    }
-    // Caller fingerprint: a new call into this function adds a return
-    // edge (gen-1) and an entry-state contributor (VSA); both change the
-    // flows the function participates in even though its text did not.
-    f.mix(fns[i].return_sites.size());
-    for (uint32_t site : fns[i].return_sites) f.mix(site);
-    local[i] = f.h;
-  }
-
-  // Dependency edges: F -> G when F's facts depend on G.  Callees
-  // (summaries and exit states compose upward) plus any function that
-  // flows into F over an ordinary cross-function edge.
-  std::vector<std::set<int>> deps(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (int callee : fns[i].callees) deps[i].insert(callee);
-  }
-  for (const BasicBlock& bb : blocks) {
-    if (bb.function < 0) continue;
-    for (int succ : bb.succs) {
-      const int sf = blocks[static_cast<size_t>(succ)].function;
-      if (sf >= 0 && sf != bb.function) deps[static_cast<size_t>(sf)].insert(bb.function);
-    }
-  }
-
-  // Iterative Tarjan.  SCCs pop after every SCC they depend on, so the
-  // chained hash of each dependency is final when its dependents fold it.
-  std::vector<uint64_t> chained(n, 0);
-  std::vector<int> index(n, -1);
-  std::vector<int> low(n, 0);
-  std::vector<uint8_t> on_stack(n, 0);
-  std::vector<int> stack;
-  std::vector<int> scc_of(n, -1);
-  std::vector<uint64_t> scc_hash;
-  int next_index = 0;
-
-  struct Frame {
-    int v;
-    std::set<int>::const_iterator it;
-  };
-  std::vector<Frame> call;
-  for (size_t root = 0; root < n; ++root) {
-    if (index[root] >= 0) continue;
-    call.push_back({static_cast<int>(root), deps[root].begin()});
-    index[root] = low[root] = next_index++;
-    stack.push_back(static_cast<int>(root));
-    on_stack[root] = 1;
-    while (!call.empty()) {
-      Frame& fr = call.back();
-      const auto v = static_cast<size_t>(fr.v);
-      if (fr.it != deps[v].end()) {
-        const int w = *fr.it++;
-        const auto uw = static_cast<size_t>(w);
-        if (index[uw] < 0) {
-          index[uw] = low[uw] = next_index++;
-          stack.push_back(w);
-          on_stack[uw] = 1;
-          call.push_back({w, deps[uw].begin()});
-        } else if (on_stack[uw] != 0) {
-          low[v] = std::min(low[v], index[uw]);
-        }
-        continue;
-      }
-      if (low[v] == index[v]) {
-        // Pop the SCC and hash it: members' local hashes (sorted — the
-        // pop order inside a cycle is traversal-dependent) plus the
-        // chained hashes of every dependency SCC.
-        std::vector<int> members;
-        for (;;) {
-          const int w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<size_t>(w)] = 0;
-          scc_of[static_cast<size_t>(w)] = static_cast<int>(scc_hash.size());
-          members.push_back(w);
-          if (w == fr.v) break;
-        }
-        std::vector<uint64_t> locals;
-        std::set<uint64_t> dep_hashes;
-        locals.reserve(members.size());
-        for (int m : members) {
-          const auto um = static_cast<size_t>(m);
-          locals.push_back(local[um]);
-          for (int d : deps[um]) {
-            const int ds = scc_of[static_cast<size_t>(d)];
-            if (ds != scc_of[um]) {
-              dep_hashes.insert(scc_hash[static_cast<size_t>(ds)]);
-            }
-          }
-        }
-        std::sort(locals.begin(), locals.end());
-        Fnv f;
-        f.mix(locals.size());
-        for (uint64_t h : locals) f.mix(h);
-        for (uint64_t h : dep_hashes) f.mix(h);
-        scc_hash.push_back(f.h);
-        for (int m : members) chained[static_cast<size_t>(m)] = f.h;
-      }
-      const int parent_low = low[v];
-      call.pop_back();
-      if (!call.empty()) {
-        const auto pv = static_cast<size_t>(call.back().v);
-        low[pv] = std::min(low[pv], parent_low);
-      }
-    }
-  }
-
-  std::vector<std::pair<uint32_t, uint64_t>> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) out.emplace_back(fns[i].entry, chained[i]);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 // ---- analysis drivers ------------------------------------------------------
 
 std::vector<uint8_t> block_leaders_of(const Cfg& cfg,
@@ -241,21 +86,13 @@ std::vector<uint8_t> block_leaders_of(const Cfg& cfg,
   return leaders;
 }
 
-std::shared_ptr<CachedAnalysis> analyze_cold(const asmgen::Program& program,
-                                             const Cfg& cfg,
-                                             const cpu::TaintPolicy& policy,
-                                             const VsaOptions& options,
-                                             int jobs) {
+std::shared_ptr<const CachedAnalysis> analyze_cold(
+    const asmgen::Program& program, const cpu::TaintPolicy& policy,
+    const VsaOptions& options, int jobs) {
+  const Cfg cfg(program);
   auto out = std::make_shared<CachedAnalysis>();
-  TaintRun g1 = analyze_taint_run(cfg, policy);
-  VsaRun g2 = analyze_vsa_run(cfg, policy, options, jobs);
-  out->g1 = std::move(g1.analysis);
-  out->g2 = std::move(g2.analysis);
-  out->g1_fp = std::move(g1.fixpoint);
-  out->g2_fp = std::move(g2.fixpoint);
-  out->gen2 = gen2_union(cfg, out->g1, out->g2);
+  out->vsa = analyze_vsa(cfg, policy, options, jobs);
   out->block_leaders = block_leaders_of(cfg, program);
-  out->fn_hashes = function_hashes(cfg, program);
   return out;
 }
 
@@ -267,17 +104,7 @@ struct Key {
   bool operator<(const Key& o) const {
     return content != o.content ? content < o.content : policy < o.policy;
   }
-  bool operator==(const Key& o) const {
-    return content == o.content && policy == o.policy;
-  }
 };
-
-size_t env_capacity() {
-  const char* v = std::getenv("PTAINT_ANALYSIS_CACHE_CAP");
-  if (v == nullptr || *v == '\0') return 32;
-  const long n = std::strtol(v, nullptr, 10);
-  return n > 0 ? static_cast<size_t>(n) : 32;
-}
 
 int env_jobs() {
   const char* v = std::getenv("PTAINT_ANALYSIS_JOBS");
@@ -300,9 +127,6 @@ std::string CacheStats::json(bool include_timing) const {
   add("lookups", lookups);
   add("hits", hits);
   add("cold_misses", cold_misses);
-  add("warm_hits", warm_hits);
-  add("warm_fallbacks", warm_fallbacks);
-  add("invalidated_fns", invalidated_fns);
   add("evictions", evictions);
   if (include_timing) add("analysis_micros", analysis_micros);
   add("entries", entries);
@@ -322,7 +146,7 @@ struct SummaryCache::Impl {
   std::map<Key, Entry> entries;
   std::set<Key> in_flight;
   CacheStats stats;
-  size_t capacity = env_capacity();
+  size_t capacity = 32;
   int jobs = env_jobs();
 };
 
@@ -373,7 +197,6 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
   Impl& im = *impl_;
   const Key key{program_hash(program), policy_hash(policy, options)};
 
-  std::shared_ptr<const CachedAnalysis> base;  // warm candidate
   int jobs = 1;
   if (enabled()) {
     std::unique_lock<std::mutex> lk(im.mu);
@@ -392,14 +215,6 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
     }
     im.in_flight.insert(key);
     jobs = im.jobs;
-    // Warm base: the most recently used entry under the same policy
-    // column — campaign variants arrive in bursts per policy.
-    for (const Key& k : im.lru) {
-      if (k.policy == key.policy) {
-        base = im.entries.find(k)->second.result;
-        break;
-      }
-    }
   } else {
     std::lock_guard<std::mutex> lk(im.mu);
     ++im.stats.lookups;
@@ -407,76 +222,16 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  const Cfg cfg(program);
-  std::shared_ptr<CachedAnalysis> result;
-  bool warm = false;
-  size_t dirty_count = 0;
-
-  if (base != nullptr) {
-    // Diff chained hashes by entry PC; unmatched functions are dirty.
-    // Both sides are ascending by entry (cfg functions are sorted), so the
-    // new program's f-th function is fn_hashes[f].
-    const auto& fns = cfg.functions();
-    const auto fn_hashes = function_hashes(cfg, program);
-    std::vector<uint8_t> dirty(fns.size(), 1);
-    for (size_t f = 0; f < fns.size(); ++f) {
-      auto it = std::lower_bound(
-          base->fn_hashes.begin(), base->fn_hashes.end(),
-          std::pair<uint32_t, uint64_t>{fns[f].entry, 0},
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      if (it != base->fn_hashes.end() && it->first == fns[f].entry &&
-          it->second == fn_hashes[f].second) {
-        dirty[f] = 0;
-      } else {
-        ++dirty_count;
-      }
-    }
-    if (dirty_count > 0 && dirty_count < fns.size()) {
-      std::optional<TaintRun> g1 =
-          analyze_taint_warm(cfg, policy, *base->g1_fp, dirty, &base->g1);
-      std::optional<VsaRun> g2 =
-          g1.has_value() ? analyze_vsa_warm(cfg, policy, options,
-                                            *base->g2_fp, dirty, &base->g2)
-                         : std::nullopt;
-      if (g1.has_value() && g2.has_value()) {
-        result = std::make_shared<CachedAnalysis>();
-        result->g1 = std::move(g1->analysis);
-        result->g2 = std::move(g2->analysis);
-        result->g1_fp = std::move(g1->fixpoint);
-        result->g2_fp = std::move(g2->fixpoint);
-        result->gen2 = gen2_union(cfg, result->g1, result->g2);
-        result->block_leaders = block_leaders_of(cfg, program);
-        result->fn_hashes = fn_hashes;
-        warm = true;
-      }
-    } else {
-      base = nullptr;  // all dirty (or none): nothing incremental to do
-    }
-  }
-  if (result == nullptr) {
-    result = analyze_cold(program, cfg, policy, options, jobs);
-  }
+  std::shared_ptr<const CachedAnalysis> result =
+      analyze_cold(program, policy, options, jobs);
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
 
-  if (!enabled()) {
-    std::lock_guard<std::mutex> lk(im.mu);
-    ++im.stats.cold_misses;
-    im.stats.analysis_micros += static_cast<uint64_t>(micros);
-    return result;
-  }
-
   std::lock_guard<std::mutex> lk(im.mu);
+  ++im.stats.cold_misses;
   im.stats.analysis_micros += static_cast<uint64_t>(micros);
-  if (warm) {
-    ++im.stats.warm_hits;
-  } else if (base != nullptr) {
-    ++im.stats.warm_fallbacks;
-  } else {
-    ++im.stats.cold_misses;
-  }
-  im.stats.invalidated_fns += dirty_count;
+  if (!enabled()) return result;
   im.in_flight.erase(key);
   auto [it, fresh] = im.entries.emplace(key, Impl::Entry{});
   if (fresh) {

@@ -2,34 +2,23 @@
 //
 // Every consumer of the static results — Machine::apply_static_elision on
 // each boot, the campaign static-check leg, the ptaint-serve shards,
-// ptaint-prove — used to re-run full CFG recovery plus both the gen-1
-// register analysis and the memory-aware VSA from scratch per program.
-// This cache memoizes the complete result set (both analyses, the gen-2
-// union table, the leak bitmaps, the recovered block leaders) keyed by
-// program content and policy, and keeps the converged fixpoints so a
-// *mutated* program can be re-analyzed incrementally: only functions whose
-// content hash changed — and their transitive dependents over the call
-// graph — are re-iterated, and the warm result is verified byte-identical
-// to a cold run (see taint_analyzer.hpp / vsa.hpp for the scheme).
+// ptaint-prove, ptaint-lint — would otherwise re-run CFG recovery plus the
+// value-set prover from scratch per program.  This cache memoizes the
+// complete result (the prover's verdicts, elision and leak bitmaps, and the
+// recovered block leaders) keyed by exact program content and policy: a
+// lookup either hits an identical key or analyzes cold.
 //
-// Hash key.  Each function's local hash covers its text words, its span,
-// its return sites (the caller fingerprint: a new call into a function
-// changes the flows it emits) and the global label fingerprint (label
-// placement decides block structure and indirect-jump fanout).  The
-// chained hash folds in the local hashes of everything the function's
-// facts depend on — callees (summaries compose upward) and functions that
-// flow into it over ordinary cross-function edges — computed bottom-up
-// over the call graph's SCC condensation (Tarjan), so a mutation dirties
-// exactly the changed function plus its transitive dependents (the
-// inverse-call-graph closure).  The policy column and analysis options are
-// hashed alongside: the same program under a different Table 1
-// configuration is a different entry.
+// Key.  The content hash covers the text words, the entry point and the
+// label placement (which shapes the recovered CFG); the data segment is
+// excluded because the abstract domains never read data bytes.  The policy
+// column and analysis options are hashed alongside: the same program under
+// a different Table 1 configuration is a different entry.  The LRU holds
+// 32 entries.
 //
 // Environment knobs:
 //   PTAINT_ANALYSIS_CACHE=0    bypass (every lookup analyzes cold; the CI
 //                              identity leg diffs this against cached runs)
 //   PTAINT_ANALYSIS_JOBS=N     thread-pool width for cold VSA fixpoints
-//   PTAINT_ANALYSIS_CACHE_CAP  LRU capacity in entries (default 32)
 #pragma once
 
 #include <cstdint>
@@ -46,27 +35,16 @@ namespace ptaint::analysis {
 /// The complete static result set for one (program, policy, options) key.
 /// Shared-ptr immutable once published; consumers index freely.
 struct CachedAnalysis {
-  TaintAnalysis g1;        // register-only analyzer
-  VsaAnalysis g2;          // memory-aware value-set prover
-  Gen2Elision gen2;        // the union table Machine ships to the CPU
+  VsaAnalysis vsa;  // verdicts plus the tables Machine ships to the CPU
   std::vector<uint8_t> block_leaders;  // recovered block begins, per inst
-
-  // Warm-base material: converged fixpoints plus per-function chained
-  // hashes (entry PC -> hash, ascending) to diff a mutated program against.
-  std::shared_ptr<const TaintFixpoint> g1_fp;
-  std::shared_ptr<const VsaFixpoint> g2_fp;
-  std::vector<std::pair<uint32_t, uint64_t>> fn_hashes;
 };
 
 struct CacheStats {
   uint64_t lookups = 0;
   uint64_t hits = 0;            // exact content hit, no analysis ran
   uint64_t cold_misses = 0;     // analyzed from scratch
-  uint64_t warm_hits = 0;       // incremental re-analysis, both engines
-  uint64_t warm_fallbacks = 0;  // warm attempted, >= 1 engine went cold
-  uint64_t invalidated_fns = 0; // dirty functions across warm attempts
   uint64_t evictions = 0;
-  uint64_t analysis_micros = 0; // wall time inside cold + warm analysis
+  uint64_t analysis_micros = 0; // wall time inside cold analysis
   size_t entries = 0;
 
   /// One flat JSON object for status/--json surfaces.  Timing is opt-out
@@ -75,10 +53,9 @@ struct CacheStats {
 };
 
 /// Thread-safe LRU memoizer.  `analyze` is the single entry point: it
-/// returns the cached result on an exact content hit, attempts incremental
-/// re-analysis against the most recent same-policy entry otherwise, and
-/// falls back to a cold run (parallel when jobs > 1) when identity cannot
-/// be proven.  Concurrent lookups of the same key block on one analysis.
+/// returns the cached result on an exact content hit and runs a cold
+/// analysis (parallel when jobs > 1) otherwise.  Concurrent lookups of the
+/// same key block on one analysis, so hits + cold_misses == lookups.
 class SummaryCache {
  public:
   /// The process-wide instance every consumer shares.

@@ -23,11 +23,7 @@
 #include "os/syscalls.hpp"
 
 namespace ptaint::analysis {
-// Not anonymous: VsaFixpoint (declared in vsa.hpp, defined below) embeds
-// these types, and a header-declared type with anonymous-namespace members
-// would have no valid external linkage (-Wsubobject-linkage).  Everything
-// here is still private to this translation unit by convention.
-namespace vsadetail {
+namespace {
 
 using isa::Instruction;
 using isa::Op;
@@ -317,38 +313,6 @@ struct CallSite {
 // exhaustion every reachable site degrades to "may be tainted" (sound).
 constexpr size_t kMaxBlockRuns = 2'000'000;
 
-}  // namespace vsadetail
-
-/// The converged-fixpoint record declared in vsa.hpp.  Everything is keyed
-/// by PC (block begin, function entry, call pc) rather than by index: a
-/// mutated program reshapes indices, but the clean functions' PCs — which
-/// are all the warm path reads — are stable by construction (the summary
-/// cache only marks a function clean when its text and the global label
-/// layout are unchanged).
-struct VsaFixpoint {
-  std::vector<vsadetail::State> in_state;  // per old-block converged in-state
-  std::vector<uint8_t> has_in;
-  std::vector<uint32_t> block_begin;
-  std::vector<uint32_t> block_end;
-  std::vector<int> block_fn;
-  std::vector<vsadetail::FnInfo> fns;  // per old-function exit + summary
-  std::vector<uint32_t> fn_entry;
-  std::vector<uint32_t> fn_end;
-  std::map<uint32_t, vsadetail::CallSite> call_sites;
-  std::map<int, std::set<uint32_t>> call_pairs;  // old fn idx -> call pcs
-  /// Every cross-*function* flow a reached block emitted at the fixpoint,
-  /// keyed (src block begin, dst block begin), value = the flowed state:
-  /// ordinary edges into another function (degraded), unresolved-jal and
-  /// unpaired-return smashes, and inline-jal exits landing cross-function.
-  /// Call-entry and compose flows are NOT here — they are reconstructed
-  /// from call_sites/fns at warm start.
-  std::map<std::pair<uint32_t, uint32_t>, vsadetail::State> cross_flows;
-  bool exhausted = false;
-  bool warm_ok = true;  // false: record unusable as a warm base
-};
-
-namespace vsadetail {
-
 class VsaEngine {
  public:
   VsaEngine(const Cfg& cfg, const cpu::TaintPolicy& policy)
@@ -390,13 +354,6 @@ class VsaEngine {
   bool exhausted() const { return exhausted_; }
   void reset_block_runs() { block_runs_ = 0; }
 
-  // incremental (see VsaFixpoint)
-  std::shared_ptr<const VsaFixpoint> build_record();
-  bool warm_start(const VsaFixpoint& base, const std::vector<uint8_t>& dirty);
-  bool warm_verify(const VsaFixpoint& base);
-  bool set_warm_collect(const std::vector<uint8_t>& dirty_fns,
-                        const VsaAnalysis& base);
-
  private:
   // driver
   void flow_to(int b, const State& s);
@@ -436,9 +393,7 @@ class VsaEngine {
                                   const State& at_call, EventSet* sink);
 
   // fact collection + witnesses
-  void collect_pass(const VsaOptions& options, bool filtered = false);
-  template <typename F>
-  void for_cross_flows(int b, F&& emit);
+  void collect_pass(const VsaOptions& options);
   void build_witnesses(VsaAnalysis& res) const;
   void build_leak_witnesses(VsaAnalysis& res) const;
   WitnessStep render_step(const Event& e) const;
@@ -496,44 +451,12 @@ class VsaEngine {
   std::atomic<size_t> block_runs_{0};
   std::atomic<bool> exhausted_{false};
 
-  // Warm-run state.  Clean blocks/functions are preloaded and must never
-  // change; any flow that would change one sets warm_failed_.
-  bool warm_ = false;
-  std::atomic<bool> warm_failed_{false};
-  std::vector<uint8_t> block_dirty_;
-  std::vector<std::pair<uint32_t, uint32_t>> clean_spans_;  // sorted
-
   // Site/leak facts are recorded only during collect_pass (replay from the
   // converged states): the transfer is monotone, so the facts a site joins
   // over every iteration visit equal the facts its final in-state yields.
-  // This is what makes iteration order — serial, parallel, or warm — and
-  // visit counts irrelevant to the collected verdicts.
+  // This is what makes iteration order — serial or parallel — and visit
+  // counts irrelevant to the collected verdicts.
   bool collecting_ = false;
-
-  // Incremental collection (set_warm_collect): collect_pass replays only
-  // `replay_block_` members; sites of `splice_fn_` functions copy their
-  // facts from `splice_base_` afterwards.  Witness runs never filter.
-  // `warm_base_` (set on successful warm_start) additionally lets
-  // build_record splice clean-source cross flows instead of replaying them.
-  const VsaFixpoint* warm_base_ = nullptr;
-  const VsaAnalysis* splice_base_ = nullptr;
-  std::vector<uint8_t> replay_block_;
-  std::vector<uint8_t> splice_fn_;
-  // Spans [entry, end) of the splice_fn_ functions, ascending; the splice
-  // copy in finish() is a linear lockstep walk over these and the
-  // (PC-ascending) site vectors.
-  std::vector<std::pair<uint32_t, uint32_t>> splice_spans_;
-
-  bool clean_pc(uint32_t pc) const {
-    auto it = std::upper_bound(
-        clean_spans_.begin(), clean_spans_.end(), pc,
-        [](uint32_t p, const std::pair<uint32_t, uint32_t>& sp) {
-          return p < sp.first;
-        });
-    if (it == clean_spans_.begin()) return false;
-    --it;
-    return pc >= it->first && pc < it->second;
-  }
 };
 
 // ---- transfer --------------------------------------------------------------
@@ -1329,15 +1252,6 @@ void VsaEngine::flow_to(int b, const State& s) {
   if (b < 0) return;
   const auto ub = static_cast<size_t>(b);
   const int bfn = cfg_.blocks()[ub].function;
-  if (warm_ && block_dirty_[ub] == 0) {
-    // A preloaded clean block: its converged in-state must already absorb
-    // this flow, or the warm run cannot reproduce the cold result.
-    std::lock_guard<std::mutex> lk(mu_of(bfn));
-    if (has_in_[ub] == 0 || !(join_states(in_state_[ub], s) == in_state_[ub])) {
-      warm_failed_ = true;
-    }
-    return;  // clean blocks are never re-iterated
-  }
   bool changed = false;
   {
     std::lock_guard<std::mutex> lk(mu_of(bfn));
@@ -1836,7 +1750,7 @@ std::vector<int> callee_first_priorities(const Cfg& cfg) {
 void VsaEngine::worker() {
   std::unique_lock<std::mutex> lk(wl_mu_);
   for (;;) {
-    if (exhausted_ || warm_failed_) break;
+    if (exhausted_) break;
     if (!pq_.empty()) {
       const int b = pq_.begin()->second;
       pq_.erase(pq_.begin());
@@ -1873,7 +1787,7 @@ void VsaEngine::worker() {
 void VsaEngine::run(int jobs) {
   const int entry = cfg_.block_at(cfg_.program().entry);
   if (entry < 0) return;
-  parallel_ = jobs > 1 && !warm_;  // warm runs are small; keep them ordered
+  parallel_ = jobs > 1;
   if (parallel_) fn_prio_ = callee_first_priorities(cfg_);
   State boot;
   // The initial $sp is the root of stack address provenance (mirrors the
@@ -1892,7 +1806,7 @@ void VsaEngine::run(int jobs) {
   }
 
   while (!worklist_.empty() || !compose_q_.empty()) {
-    if (exhausted_ || warm_failed_) break;
+    if (exhausted_) break;
     if (!worklist_.empty()) {
       const int b = worklist_.front();
       worklist_.pop_front();
@@ -1927,11 +1841,10 @@ void VsaEngine::run(int jobs) {
 //      NOT apply the preamble; keeping it separate keeps witness text
 //      byte-identical on the (pathological) blocks where the lint heights
 //      and the value-set disagree about $sp.
-void VsaEngine::collect_pass(const VsaOptions& options, bool filtered) {
+void VsaEngine::collect_pass(const VsaOptions& options) {
   collecting_ = true;
   for (size_t b = 0; b < has_in_.size(); ++b) {
     if (has_in_[b] == 0) continue;
-    if (filtered && replay_block_[b] == 0) continue;
     const BasicBlock& bb = cfg_.blocks()[b];
     State s = block_in(static_cast<int>(b));
     bool dead = false;
@@ -1976,448 +1889,6 @@ void VsaEngine::collect_pass(const VsaOptions& options, bool filtered) {
       }
     }
   }
-}
-
-// ---- incremental machinery --------------------------------------------------
-
-// Invokes `emit(dst_block, state)` for every cross-*function* flow block
-// `b` sends at the converged fixpoint: ordinary edges into another
-// function, unresolved-jal and unpaired-return smashes, and inline-jal
-// exits landing cross-function.  Call-entry and compose flows are excluded
-// (reconstructed from call_sites_/fns_ instead).  Mirrors after_block
-// exactly; the replay runs from the degraded in-state, like process_block.
-template <typename F>
-void VsaEngine::for_cross_flows(int b, F&& emit) {
-  const auto& blocks = cfg_.blocks();
-  const BasicBlock& bb = blocks[static_cast<size_t>(b)];
-  const Instruction& last = cfg_.inst_at(bb.end - 4);
-
-  // Cheap pre-screen: most blocks flow only inside their own function.
-  bool may_emit = false;
-  if (last.op == Op::kJal) {
-    const int fidx =
-        bb.call_succs.empty()
-            ? -1
-            : blocks[static_cast<size_t>(bb.call_succs[0])].function;
-    if (fidx < 0 || inline_plan(fidx) != nullptr) {
-      const int cont = cfg_.block_at(bb.end);
-      may_emit = cont >= 0 &&
-                 blocks[static_cast<size_t>(cont)].function != bb.function;
-    }
-  } else if (last.op == Op::kJalr) {
-    may_emit = false;  // call edges only; compose covers the continuation
-  } else if (bb.returns) {
-    may_emit = bb.function < 0 && !bb.succs.empty();
-  } else {
-    for (int succ : bb.succs) {
-      if (succ >= 0 &&
-          blocks[static_cast<size_t>(succ)].function != bb.function) {
-        may_emit = true;
-        break;
-      }
-    }
-  }
-  if (!may_emit) return;
-
-  State s = block_in(b);
-  bool dead = false;
-  for (uint32_t pc = bb.begin; pc < bb.end; pc += 4) {
-    transfer(pc, cfg_.inst_at(pc), s, nullptr, dead, bb.function);
-    if (dead) return;
-  }
-  if (last.op == Op::kJal) {
-    const int fidx =
-        bb.call_succs.empty()
-            ? -1
-            : blocks[static_cast<size_t>(bb.call_succs[0])].function;
-    const int cont = cfg_.block_at(bb.end);
-    if (cont < 0 || blocks[static_cast<size_t>(cont)].function == bb.function)
-      return;
-    if (fidx >= 0) {
-      std::optional<State> exit = run_inline(fidx, bb.function, s, nullptr);
-      if (exit.has_value()) emit(cont, *exit);
-    } else {
-      emit(cont, smash_unknown_call());
-    }
-    return;
-  }
-  if (bb.returns) {  // bb.function < 0 (screened above)
-    for (int succ : bb.succs) {
-      if (succ >= 0) emit(succ, smash_unknown_call());
-    }
-    return;
-  }
-  for (int succ : bb.succs) {
-    if (succ >= 0 &&
-        blocks[static_cast<size_t>(succ)].function != bb.function) {
-      emit(succ, degrade_for_foreign(s));
-    }
-  }
-}
-
-std::shared_ptr<const VsaFixpoint> VsaEngine::build_record() {
-  auto fp = std::make_shared<VsaFixpoint>();
-  fp->exhausted = exhausted_;
-  if (exhausted_) {
-    fp->warm_ok = false;  // degraded facts are not a reusable fixpoint
-    return fp;
-  }
-  const auto& blocks = cfg_.blocks();
-  const auto& fns = cfg_.functions();
-  fp->block_begin.reserve(blocks.size());
-  fp->block_end.reserve(blocks.size());
-  fp->block_fn.reserve(blocks.size());
-  for (const BasicBlock& bb : blocks) {
-    fp->block_begin.push_back(bb.begin);
-    fp->block_end.push_back(bb.end);
-    fp->block_fn.push_back(bb.function);
-  }
-  fp->fn_entry.reserve(fns.size());
-  fp->fn_end.reserve(fns.size());
-  for (const Function& f : fns) {
-    fp->fn_entry.push_back(f.entry);
-    fp->fn_end.push_back(f.end);
-  }
-  // The cross-flow replay burns block-run budget through leaf inlining;
-  // shield the analysis-visible counter and treat replay exhaustion (never
-  // seen in practice — the fixpoint already converged) as record-unusable.
-  const size_t saved = block_runs_;
-  block_runs_ = 0;
-  // On a verified warm run a clean block's replay is deterministic over
-  // unchanged text from an unchanged in-state, and warm_start proved every
-  // recorded clean-source flow's destination PC still starts a block — so
-  // the base record's clean-source entries ARE what the replay would emit;
-  // copy them and replay only the dirty sources.
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (has_in_[b] == 0) continue;
-    if (warm_base_ != nullptr && block_dirty_[b] == 0) continue;
-    for_cross_flows(static_cast<int>(b), [&](int dst, const State& s) {
-      const std::pair<uint32_t, uint32_t> key{
-          blocks[b].begin, blocks[static_cast<size_t>(dst)].begin};
-      auto it = fp->cross_flows.find(key);
-      if (it == fp->cross_flows.end()) fp->cross_flows.emplace(key, s);
-      else it->second = join_states(it->second, s);
-    });
-  }
-  if (warm_base_ != nullptr) {
-    for (const auto& [key, s] : warm_base_->cross_flows) {
-      if (clean_pc(key.first)) fp->cross_flows.emplace(key, s);
-    }
-  }
-  if (exhausted_) {
-    fp->warm_ok = false;
-    exhausted_ = false;
-  }
-  block_runs_ = saved;
-  // Last step: build_record consumes the engine (both callers destroy it
-  // right after), so the converged states move into the record instead of
-  // copying — the dominant cost of recording on the warm path.
-  fp->in_state = std::move(in_state_);
-  fp->has_in = has_in_;
-  fp->fns = std::move(fns_);
-  fp->call_sites = std::move(call_sites_);
-  fp->call_pairs = std::move(call_pairs_);
-  return fp;
-}
-
-bool VsaEngine::warm_start(const VsaFixpoint& base,
-                           const std::vector<uint8_t>& dirty) {
-  const auto& blocks = cfg_.blocks();
-  const auto& fns = cfg_.functions();
-  if (!base.warm_ok || base.exhausted) return false;
-  if (dirty.size() != fns.size() || blocks.empty()) return false;
-  size_t n_dirty = 0;
-  for (uint8_t d : dirty) n_dirty += d != 0 ? 1 : 0;
-  if (n_dirty == 0 || n_dirty == fns.size()) return false;  // nothing to gain
-
-  clean_spans_.clear();
-  for (size_t f = 0; f < fns.size(); ++f) {
-    if (dirty[f] == 0) clean_spans_.emplace_back(fns[f].entry, fns[f].end);
-  }
-  std::sort(clean_spans_.begin(), clean_spans_.end());
-
-  // Map each clean new function to its old index; the span must exist
-  // verbatim in the record.  fn_entry is ascending (recorded in function
-  // order), so the lookup is a binary search.
-  const auto old_fn_at = [&](uint32_t entry) -> int {
-    auto it = std::lower_bound(base.fn_entry.begin(), base.fn_entry.end(),
-                               entry);
-    if (it == base.fn_entry.end() || *it != entry) return -1;
-    return static_cast<int>(it - base.fn_entry.begin());
-  };
-  std::vector<int> old_fn_of(fns.size(), -1);
-  std::map<int, int> new_fn_of_old;
-  for (size_t f = 0; f < fns.size(); ++f) {
-    if (dirty[f] != 0) continue;
-    const int ofi = old_fn_at(fns[f].entry);
-    if (ofi < 0 || base.fn_end[static_cast<size_t>(ofi)] != fns[f].end) {
-      return false;
-    }
-    old_fn_of[f] = ofi;
-    new_fn_of_old[ofi] = static_cast<int>(f);
-  }
-
-  // Blocks outside any recovered function never carry a content hash, so
-  // they are always re-iterated (dirty).
-  block_dirty_.assign(blocks.size(), 1);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const int f = blocks[b].function;
-    if (f >= 0 && dirty[static_cast<size_t>(f)] == 0) block_dirty_[b] = 0;
-  }
-
-  // Preload clean blocks: same begin PC must name the same-shaped block.
-  // block_begin is ascending (blocks are recorded in address order).
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (block_dirty_[b] != 0) continue;
-    auto it = std::lower_bound(base.block_begin.begin(),
-                               base.block_begin.end(), blocks[b].begin);
-    if (it == base.block_begin.end() || *it != blocks[b].begin) return false;
-    const size_t ob = static_cast<size_t>(it - base.block_begin.begin());
-    if (base.block_end[ob] != blocks[b].end) return false;
-    in_state_[b] = base.in_state[ob];
-    has_in_[b] = base.has_in[ob];
-  }
-  // Preload clean functions' exit/summary records.
-  for (size_t f = 0; f < fns.size(); ++f) {
-    if (dirty[f] == 0) fns_[f] = base.fns[static_cast<size_t>(old_fn_of[f])];
-  }
-  // Preload call sites and call pairs at clean PCs, remapping function
-  // indices old -> new.  The summary cache dirties every transitive caller
-  // of a changed function, so a clean caller can never call a dirty callee;
-  // verify that invariant rather than assume it.
-  for (const auto& [pc, cs] : base.call_sites) {
-    if (!clean_pc(pc)) continue;
-    CallSite c = cs;
-    if (c.caller_fn >= 0) {
-      auto it = new_fn_of_old.find(c.caller_fn);
-      if (it == new_fn_of_old.end()) return false;
-      c.caller_fn = it->second;
-    }
-    call_sites_.emplace(pc, std::move(c));
-  }
-  for (const auto& [ofidx, pcs] : base.call_pairs) {
-    for (uint32_t pc : pcs) {
-      if (!clean_pc(pc)) continue;
-      auto it = new_fn_of_old.find(ofidx);
-      if (it == new_fn_of_old.end()) return false;  // clean pc calls dirty fn
-      call_pairs_[it->second].insert(pc);
-    }
-  }
-
-  warm_ = true;
-  warm_base_ = &base;
-
-  // Seed the dirty region with everything the clean region contributed at
-  // the old fixpoint.  (a) Recorded clean->dirty cross flows; a clean
-  // block's successor PCs are branch targets inside its unchanged text, so
-  // each must resolve to a block starting at that exact PC — anything else
-  // means the record does not transfer, and silently dropping a seed would
-  // under-approximate (the one failure verification could not catch).
-  for (const auto& [key, s] : base.cross_flows) {
-    const auto& [src, dst] = key;
-    if (!clean_pc(src)) continue;
-    const int nb = cfg_.block_at(dst);
-    if (nb < 0 || blocks[static_cast<size_t>(nb)].begin != dst) return false;
-    if (block_dirty_[static_cast<size_t>(nb)] != 0) flow_to(nb, s);
-  }
-  // (b) Clean call sites whose continuation block is dirty (cross-function
-  // continuation): recompose so the return state flows in.
-  for (const auto& [nfidx, pcs] : call_pairs_) {
-    for (uint32_t pc : pcs) {
-      const int cont = cfg_.block_at(pc + 4);
-      if (cont >= 0 && block_dirty_[static_cast<size_t>(cont)] != 0) {
-        queue_compose(pc, nfidx);
-      }
-    }
-  }
-  return !warm_failed_;
-}
-
-bool VsaEngine::warm_verify(const VsaFixpoint& base) {
-  if (warm_failed_ || exhausted_) return false;
-  const auto& blocks = cfg_.blocks();
-  const auto& fns = cfg_.functions();
-
-  // V1: call sites at dirty PCs must have reconverged to exactly the
-  // recorded sites — same PC set, same joined state, same frame delta,
-  // same caller (compared by entry PC across the index remap).
-  {
-    auto dirty_pc = [&](uint32_t pc) { return !clean_pc(pc); };
-    auto oit = base.call_sites.begin();
-    auto nit = call_sites_.begin();
-    for (;;) {
-      while (oit != base.call_sites.end() && !dirty_pc(oit->first)) ++oit;
-      while (nit != call_sites_.end() && !dirty_pc(nit->first)) ++nit;
-      const bool oend = oit == base.call_sites.end();
-      const bool nend = nit == call_sites_.end();
-      if (oend != nend) return false;
-      if (oend) break;
-      if (oit->first != nit->first) return false;
-      const CallSite& oc = oit->second;
-      const CallSite& nc = nit->second;
-      if (oc.seen != nc.seen || oc.d_known != nc.d_known ||
-          (oc.d_known && oc.d != nc.d) || !(oc.state == nc.state)) {
-        return false;
-      }
-      const uint32_t oe =
-          oc.caller_fn >= 0 ? base.fn_entry[static_cast<size_t>(oc.caller_fn)]
-                            : 0xffffffffu;
-      const uint32_t ne =
-          nc.caller_fn >= 0 ? fns[static_cast<size_t>(nc.caller_fn)].entry
-                            : 0xffffffffu;
-      if (oe != ne) return false;
-      // A dirty call returning into a *clean* continuation block would
-      // recompose state into the preloaded region; equality of the call
-      // site alone does not prove the compose result reconverged.  Rare
-      // (cross-function continuation) — take the cold path.
-      const int cont = cfg_.block_at(oit->first + 4);
-      if (cont >= 0 && block_dirty_[static_cast<size_t>(cont)] == 0) {
-        return false;
-      }
-      ++oit;
-      ++nit;
-    }
-  }
-
-  // V2: the dirty region's joined contribution into every clean block must
-  // equal the recorded one.  Joins are not subtractable, so per-destination
-  // join equality (old vs fresh replay) is the sufficient condition.
-  std::map<uint32_t, State> j_old;
-  for (const auto& [key, s] : base.cross_flows) {
-    const auto& [src, dst] = key;
-    if (clean_pc(src) || !clean_pc(dst)) continue;
-    auto it = j_old.find(dst);
-    if (it == j_old.end()) j_old.emplace(dst, s);
-    else it->second = join_states(it->second, s);
-  }
-  std::map<uint32_t, State> j_new;
-  const size_t saved = block_runs_;
-  block_runs_ = 0;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (has_in_[b] == 0 || block_dirty_[b] == 0) continue;
-    for_cross_flows(static_cast<int>(b), [&](int dst, const State& s) {
-      const uint32_t dp = blocks[static_cast<size_t>(dst)].begin;
-      if (!clean_pc(dp)) return;
-      auto it = j_new.find(dp);
-      if (it == j_new.end()) j_new.emplace(dp, s);
-      else it->second = join_states(it->second, s);
-    });
-  }
-  const bool replay_exhausted = exhausted_;
-  exhausted_ = false;
-  block_runs_ = saved;
-  if (replay_exhausted) return false;
-  return j_old == j_new;
-}
-
-// Prepares the filtered fact sweep: decides which blocks collect_pass must
-// replay and which functions' site facts can be copied ("spliced") from the
-// base analysis instead.
-//
-// Splicing a function f is sound when (a) its converged states and text are
-// identical to the recorded run's — exactly what the warm verification
-// proved for every clean function — AND (b) no replayed block's inline-jal
-// reaches f.  (b) matters because a site inside an inlined callee
-// accumulates facts from *every* inline caller's run_inline replay: replay
-// one caller without the others and the join is partial.  So any function
-// inline-called from a replayed block must be fully re-collected — its own
-// reached blocks and every block that inline-calls it replay too
-// (`recollect`, closed over nested inline calls; plans are currently
-// leaf-only, so the closure is depth-1 in practice).
-//
-// Replayed blocks inside spliced functions are harmless: the splice in
-// finish() overwrites, not joins.  Returns false (caller keeps the full
-// sweep) when any spliced site lacks a recorded counterpart in `base`.
-bool VsaEngine::set_warm_collect(const std::vector<uint8_t>& dirty_fns,
-                                 const VsaAnalysis& base) {
-  const auto& blocks = cfg_.blocks();
-  const auto& fns = cfg_.functions();
-  if (dirty_fns.size() != fns.size()) return false;
-
-  // Inline-call edges at the fixpoint: block b ends in an inlinable jal to
-  // function g.  Orphan callers (bb.function < 0) need no special case —
-  // orphan blocks are always block_dirty_, so their targets seed below.
-  std::vector<int> inline_target(blocks.size(), -1);
-  std::vector<std::vector<int>> inline_out(fns.size());  // caller fn -> g
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (has_in_[b] == 0) continue;
-    const BasicBlock& bb = blocks[b];
-    const Instruction& last = cfg_.inst_at(bb.end - 4);
-    if (last.op != Op::kJal || bb.call_succs.empty()) continue;
-    const int g = blocks[static_cast<size_t>(bb.call_succs[0])].function;
-    if (g < 0 || inline_plan(g) == nullptr) continue;
-    inline_target[b] = g;
-    if (bb.function >= 0) {
-      inline_out[static_cast<size_t>(bb.function)].push_back(g);
-    }
-  }
-
-  // `recollect` closure: seeded by inline targets of dirty blocks, closed
-  // over inline calls made from recollect functions (their blocks replay,
-  // so their targets' joins rebuild too).
-  std::vector<uint8_t> recollect(fns.size(), 0);
-  std::deque<int> wl;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const int g = inline_target[b];
-    if (g >= 0 && block_dirty_[b] != 0 && recollect[static_cast<size_t>(g)] == 0) {
-      recollect[static_cast<size_t>(g)] = 1;
-      wl.push_back(g);
-    }
-  }
-  while (!wl.empty()) {
-    const int f = wl.front();
-    wl.pop_front();
-    for (int g : inline_out[static_cast<size_t>(f)]) {
-      if (recollect[static_cast<size_t>(g)] == 0) {
-        recollect[static_cast<size_t>(g)] = 1;
-        wl.push_back(g);
-      }
-    }
-  }
-
-  replay_block_.assign(blocks.size(), 0);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const int f = blocks[b].function;
-    const int g = inline_target[b];
-    replay_block_[b] = block_dirty_[b] != 0 ||
-                       (f >= 0 && recollect[static_cast<size_t>(f)] != 0) ||
-                       (g >= 0 && recollect[static_cast<size_t>(g)] != 0);
-  }
-  splice_fn_.assign(fns.size(), 0);
-  splice_spans_.clear();
-  for (size_t f = 0; f < fns.size(); ++f) {
-    splice_fn_[f] = dirty_fns[f] == 0 && recollect[f] == 0;
-    if (splice_fn_[f] != 0) splice_spans_.emplace_back(fns[f].entry, fns[f].end);
-  }
-
-  // Every spliced site must have a recorded counterpart to copy from.
-  // Lockstep walks: all three vectors ascend by PC, spans by entry.
-  {
-    auto bit = base.sites.begin();
-    size_t span = 0;
-    for (const DerefSite& s : sites_) {
-      while (span < splice_spans_.size() && s.pc >= splice_spans_[span].second)
-        ++span;
-      if (span == splice_spans_.size()) break;
-      if (s.pc < splice_spans_[span].first) continue;
-      while (bit != base.sites.end() && bit->pc < s.pc) ++bit;
-      if (bit == base.sites.end() || bit->pc != s.pc) return false;
-    }
-  }
-  {
-    auto bit = base.leak_sites.begin();
-    size_t span = 0;
-    for (const LeakSite& s : leak_sites_) {
-      while (span < splice_spans_.size() && s.pc >= splice_spans_[span].second)
-        ++span;
-      if (span == splice_spans_.size()) break;
-      if (s.pc < splice_spans_[span].first) continue;
-      while (bit != base.leak_sites.end() && bit->pc < s.pc) ++bit;
-      if (bit == base.leak_sites.end() || bit->pc != s.pc) return false;
-    }
-  }
-  splice_base_ = &base;
-  return true;
 }
 
 WitnessStep VsaEngine::render_step(const Event& e) const {
@@ -2587,11 +2058,7 @@ void VsaEngine::build_leak_witnesses(VsaAnalysis& res) const {
 
 VsaAnalysis VsaEngine::finish(const VsaOptions& options) {
   VsaAnalysis res;
-  // Witness construction walks the whole propagation-event graph, so a
-  // witness run always replays everything; the filtered replay serves the
-  // bitmap/verdict surfaces (the Machine and campaign consumers).
-  const bool spliced = splice_base_ != nullptr && !options.witnesses;
-  if (!exhausted_) collect_pass(options, spliced);
+  if (!exhausted_) collect_pass(options);
   // Snapshot once: the collect replay itself burns block-run budget (leaf
   // inlining) and can trip exhaustion at the budget edge; the whole result
   // must then degrade coherently rather than half-and-half.
@@ -2616,43 +2083,6 @@ VsaAnalysis VsaEngine::finish(const VsaOptions& options) {
     }
     events_.clear();
     aprov_events_.clear();
-  } else if (spliced) {
-    // A spliced function's converged states and text are identical to the
-    // recorded run's (what the warm verification proved), and no replayed
-    // block's inline chain reaches it, so its recorded facts ARE the facts
-    // a full replay would rebuild.  set_warm_collect validated that every
-    // spliced site has a recorded counterpart; the walks are lockstep
-    // (sites and spans both ascend by PC).
-    {
-      auto bit = splice_base_->sites.begin();
-      size_t span = 0;
-      for (DerefSite& s : sites_) {
-        while (span < splice_spans_.size() &&
-               s.pc >= splice_spans_[span].second)
-          ++span;
-        if (span == splice_spans_.size()) break;
-        if (s.pc < splice_spans_[span].first) continue;
-        while (bit != splice_base_->sites.end() && bit->pc < s.pc) ++bit;
-        if (bit == splice_base_->sites.end() || bit->pc != s.pc) continue;
-        s.reachable = bit->reachable;
-        s.may_taint = bit->may_taint;
-      }
-    }
-    {
-      auto bit = splice_base_->leak_sites.begin();
-      size_t span = 0;
-      for (LeakSite& s : leak_sites_) {
-        while (span < splice_spans_.size() &&
-               s.pc >= splice_spans_[span].second)
-          ++span;
-        if (span == splice_spans_.size()) break;
-        if (s.pc < splice_spans_[span].first) continue;
-        while (bit != splice_base_->leak_sites.end() && bit->pc < s.pc) ++bit;
-        if (bit == splice_base_->leak_sites.end() || bit->pc != s.pc) continue;
-        s.reachable = bit->reachable;
-        s.may_planes = bit->may_planes;
-      }
-    }
   }
   res.sites = sites_;
   res.elision.assign(cfg_.instructions().size(), 0);
@@ -2721,11 +2151,6 @@ VsaAnalysis VsaEngine::finish(const VsaOptions& options) {
   return res;
 }
 
-}  // namespace vsadetail
-
-// ---- public API ------------------------------------------------------------
-
-namespace {
 std::string plane_classes(mem::TaintBits p) {
   std::string s;
   auto addc = [&](mem::TaintBits m, const char* name) {
@@ -2738,7 +2163,10 @@ std::string plane_classes(mem::TaintBits p) {
   addc(mem::kTextAddrMask, "text-addr");
   return s;
 }
+
 }  // namespace
+
+// ---- public API ------------------------------------------------------------
 
 bool VsaAnalysis::predicts_alert(uint32_t pc) const {
   const DerefSite* s = site_at(pc);
@@ -2828,16 +2256,9 @@ std::string VsaAnalysis::report(const Cfg& cfg) const {
 }
 
 VsaAnalysis analyze_vsa(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                        const VsaOptions& options) {
-  vsadetail::VsaEngine engine(cfg, policy);
-  engine.run(1);
-  return engine.finish(options);
-}
-
-VsaRun analyze_vsa_run(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                       const VsaOptions& options, int jobs) {
+                        const VsaOptions& options, int jobs) {
   if (jobs > 1) {
-    vsadetail::VsaEngine engine(cfg, policy);
+    VsaEngine engine(cfg, policy);
     engine.run(jobs);
     if (!engine.exhausted()) {
       // The converged states are the unique least fixpoint, identical to
@@ -2845,74 +2266,14 @@ VsaRun analyze_vsa_run(const Cfg& cfg, const cpu::TaintPolicy& policy,
       // Reset it so a near-budget collect pass degrades (or not) exactly
       // like the jobs=1 run would.
       engine.reset_block_runs();
-      VsaRun r;
-      r.analysis = engine.finish(options);
-      r.fixpoint = engine.build_record();
-      return r;
+      return engine.finish(options);
     }
     // Exhaustion under a parallel schedule is schedule-dependent; redo
     // serially so the canonical degraded result ships.
   }
-  vsadetail::VsaEngine engine(cfg, policy);
+  VsaEngine engine(cfg, policy);
   engine.run(1);
-  VsaRun r;
-  r.analysis = engine.finish(options);
-  r.fixpoint = engine.build_record();
-  return r;
-}
-
-std::optional<VsaRun> analyze_vsa_warm(const Cfg& cfg,
-                                       const cpu::TaintPolicy& policy,
-                                       const VsaOptions& options,
-                                       const VsaFixpoint& base,
-                                       const std::vector<uint8_t>& dirty_fns,
-                                       const VsaAnalysis* base_analysis) {
-  vsadetail::VsaEngine engine(cfg, policy);
-  if (!engine.warm_start(base, dirty_fns)) return std::nullopt;
-  engine.run(1);
-  if (!engine.warm_verify(base)) return std::nullopt;
-  // The warm iteration visited only the dirty region; align the budget
-  // counter with a from-scratch run's starting point before collecting.
-  engine.reset_block_runs();
-  if (base_analysis != nullptr && !options.witnesses) {
-    // Best-effort: a false return just keeps the full collect sweep.
-    (void)engine.set_warm_collect(dirty_fns, *base_analysis);
-  }
-  VsaRun r;
-  r.analysis = engine.finish(options);
-  r.fixpoint = engine.build_record();
-  return r;
-}
-
-Gen2Elision gen2_elision(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                         const VsaOptions& options) {
-  const TaintAnalysis g1 = analyze_taint(cfg, policy);
-  const VsaAnalysis g2 = analyze_vsa(cfg, policy, options);
-  return gen2_union(cfg, g1, g2);
-}
-
-Gen2Elision gen2_union(const Cfg& cfg, const TaintAnalysis& g1,
-                       const VsaAnalysis& g2) {
-  Gen2Elision r;
-  r.elision = g1.elision;
-  for (size_t i = 0; i < r.elision.size() && i < g2.elision.size(); ++i) {
-    r.elision[i] = static_cast<uint8_t>(r.elision[i] | g2.elision[i]);
-  }
-  r.gen1_clean = g1.proven_clean;
-  // Count every dereference site whose check the union table actually
-  // skips — clean sites plus sites the prover shows dead (the two site
-  // vectors enumerate the same dereference PCs).
-  r.sites = g1.sites.size();
-  for (const DerefSite& site : g1.sites) {
-    if (r.elision[cfg.index_of(site.pc)]) ++r.gen2_clean;
-  }
-  // Leak-check elision is VSA-only: the register-only analyzer has no
-  // address-provenance notion to contribute.
-  r.leak_elision = g2.leak_elision;
-  r.output_sites = g2.output_sites;
-  r.leak_clean = g2.leak_clean;
-  r.leak_annotated = g2.leak_annotated;
-  return r;
+  return engine.finish(options);
 }
 
 std::vector<std::pair<uint32_t, uint32_t>> resolve_publish_ranges(

@@ -1,10 +1,14 @@
-// Memory-aware value-set taint prover (second-generation static analysis).
+// Memory-aware value-set taint prover: the static pointer-taintedness
+// analysis (the ahead-of-time mirror of the dynamic detector in src/cpu).
 //
-// The register-only analyzer (taint_analyzer.cpp) summarizes all of memory
-// as possibly tainted, so any value that transits memory — a spilled $ra, a
-// pointer parked in a frame slot, a global flag — comes back MaybeTainted
-// and poisons every dereference it later feeds.  This pass removes that
-// cliff by tracking an abstract memory alongside the registers:
+// An interprocedural, flow-sensitive forward dataflow over the Cfg
+// supergraph.  The transfer function mirrors the Table 1 propagation rules
+// and their special cases exactly as the TaintPolicy configures them;
+// syscalls write only an untainted result into $v0 (mirrors SimOs), except
+// that SYS_READ / SYS_RECV taint the buffer they name; TAINTSET is a taint
+// source.  A value that transits memory — a spilled $ra, a pointer parked
+// in a frame slot, a global flag — keeps its taint because the prover
+// tracks an abstract memory alongside the registers:
 //
 //   * stack frames    — per-function cells keyed by the frame-relative word
 //                       offset from the function-entry $sp; the offsets are
@@ -33,16 +37,17 @@
 // caller coordinates, which is what lets a SYS_READ inside `read()` taint
 // the precise caller cells its buffer argument names.
 //
-// Soundness is relative to the same recovered-CFG caveat as the first
-// generation analyzer plus the in-region assumption documented on ValueSet
-// (lattice.hpp): computed addresses are assumed not to wander out of the
-// region their base came from.  Both are revalidated empirically by the
-// bidirectional `ptaint-campaign --static-check` leg.
+// Soundness is relative to the recovered CFG (an indirect jump may only
+// reach a text label; docs/ANALYSIS.md) and to the in-region assumption
+// documented on ValueSet (lattice.hpp): computed addresses are assumed not
+// to wander out of the region their base came from.  Both are revalidated
+// empirically by the bidirectional `ptaint-campaign --static-check` leg.
 //
 // Outputs:
-//   * per-site verdicts (same DerefSite shape as gen-1) and a VSA elision
-//     bitmap; `gen2_elision()` unions it with the register-only bitmap so
-//     the shipped table strictly supersedes gen-1 by construction;
+//   * per dereference site (every load, store, JR and JALR) the joined
+//     abstract taint of the address register, and the elision bitmap the
+//     Machine installs on the CPU: sites proven clean or proven dead skip
+//     the dynamic check (the detector can never fire there);
 //   * on request, a *witness* per possibly-tainted site: a shortest
 //     source-rooted may-taint path (syscall input / argv / taintset /
 //     uninitialized stack -> memory cells -> registers -> dereference PC)
@@ -62,18 +67,25 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/cfg.hpp"
 #include "analysis/lattice.hpp"
-#include "analysis/taint_analyzer.hpp"
 #include "cpu/taint_policy.hpp"
 
 namespace ptaint::analysis {
+
+/// One dereference site in the text segment.
+struct DerefSite {
+  uint32_t pc = 0;
+  isa::Instruction inst;
+  uint8_t addr_reg = 0;        // register dereferenced as pointer/target
+  Taint may_taint = Taint::kUntainted;
+  bool is_jump = false;        // JR/JALR (control transfer) vs load/store
+  bool reachable = false;      // the abstract execution reaches the site
+};
 
 /// One hop of a may-taint path.  `pc` is the instruction that propagated
 /// the taint (0 for roots that have no single program point).
@@ -106,10 +118,14 @@ struct LeakSite {
 };
 
 struct VsaAnalysis {
-  std::vector<DerefSite> sites;  // ascending by PC, verdicts from the VSA
-  std::vector<uint8_t> elision;  // VSA-only bitmap (see gen2_elision)
-  size_t possible_sites = 0;
-  size_t proven_clean = 0;
+  std::vector<DerefSite> sites;  // ascending by PC
+  /// Per-instruction elision bitmap over the text segment: byte i covers
+  /// kTextBase + 4*i; 1 = the dereference check at that PC is proven
+  /// unnecessary (the site is clean, or dead in a completed fixpoint).
+  /// Non-dereference instructions are 0 (no check to elide).
+  std::vector<uint8_t> elision;
+  size_t possible_sites = 0;  // reachable sites with may_be_tainted()
+  size_t proven_clean = 0;    // reachable sites proven untainted
 
   // Leak-site prover outputs (address-taint direction).
   std::vector<LeakSite> leak_sites;     // ascending by PC
@@ -127,9 +143,14 @@ struct VsaAnalysis {
   /// -> output buffer), ascending by site PC.  Same opt-in.
   std::vector<Witness> leak_witnesses;
 
+  /// True when the dynamic alert at `pc` was statically predicted, i.e.
+  /// `pc` is a dereference site with may_be_tainted() — the forward half of
+  /// ptaint-campaign --static-check.
   bool predicts_alert(uint32_t pc) const;
   const DerefSite* site_at(uint32_t pc) const;
   const Witness* witness_at(uint32_t pc) const;
+  /// One line per possibly-tainted site ("pc: disasm  addr=$reg  taint
+  /// [in function]").
   std::string report(const Cfg& cfg) const;
 
   /// True when a dynamic address-leak alert at `pc` was statically
@@ -153,86 +174,18 @@ struct VsaOptions {
   std::vector<std::pair<uint32_t, uint32_t>> may_publish;
 };
 
-VsaAnalysis analyze_vsa(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                        const VsaOptions& options = {});
-
-// ---- incremental + parallel re-analysis -------------------------------------
-//
-// Mirrors the gen-1 scheme (taint_analyzer.hpp): a cold run can retain its
-// converged fixpoint — per-block abstract states, per-function
-// exit/summary records, call-site records and every cross-function flow a
-// block emitted — keyed by PC so a later run over a mutated program can
-//
-//   1. preload every *clean* function's blocks, FnInfo and call sites,
-//   2. seed the dirty region from the recorded clean->dirty cross flows and
-//      clean-call-site composes, iterate only dirty blocks, and
-//   3. verify that (a) every call site at a dirty PC reconverged to exactly
-//      the recorded state and (b) the dirty region's joined contribution
-//      into every clean block equals the recorded one.
-//
-// Any doubt falls back to a cold run, so a warm result is always
-// byte-identical to cold.  The record is opaque: its member types live in
-// vsa.cpp.
-struct VsaFixpoint;
-
-struct VsaRun {
-  VsaAnalysis analysis;
-  std::shared_ptr<const VsaFixpoint> fixpoint;
-};
-
-/// Cold run that also builds the fixpoint record for later warm runs.
-/// Identical analysis output to analyze_vsa().  With `jobs` > 1 the
-/// chaotic fixpoint iterates on a thread pool, scheduled bottom-up over the
-/// call graph's SCC condensation (callees before callers, so summaries are
-/// usually ready when a caller composes); the converged states are the
-/// unique least fixpoint either way, so the result is byte-identical to the
+/// Runs the prover.  `policy` selects which Table 1 special cases the
+/// *dynamic* machine will apply — the static transfer function mirrors them
+/// (an untaint rule the interpreter does not apply must not be assumed
+/// statically, and vice versa).  With `jobs` > 1 the chaotic fixpoint
+/// iterates on a thread pool, scheduled bottom-up over the call graph's SCC
+/// condensation (callees before callers, so summaries are usually ready
+/// when a caller composes); the converged states are the unique least
+/// fixpoint either way, so the result is byte-identical to the
 /// single-threaded run.  A budget-exhausted parallel run (schedule-
 /// dependent) is redone serially so the canonical degraded result ships.
-VsaRun analyze_vsa_run(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                       const VsaOptions& options = {}, int jobs = 1);
-
-/// Warm re-analysis against `base` (a prior converged run under the *same*
-/// policy and options).  `dirty_fns[f]` marks new-Cfg functions whose text
-/// or calling context changed (content-hash difference, including
-/// transitive callers).  Returns nullopt when identity with a cold run
-/// cannot be proven.  `base_analysis` (the analysis the record was built
-/// with) enables incremental result collection: clean functions outside the
-/// dirty region's inline-call closure copy their site facts from it instead
-/// of being replayed — same output, less work (witness runs never filter).
-std::optional<VsaRun> analyze_vsa_warm(const Cfg& cfg,
-                                       const cpu::TaintPolicy& policy,
-                                       const VsaOptions& options,
-                                       const VsaFixpoint& base,
-                                       const std::vector<uint8_t>& dirty_fns,
-                                       const VsaAnalysis* base_analysis = nullptr);
-
-/// The second-generation elision table: bitwise union of the register-only
-/// analyzer's bitmap and the VSA bitmap.  Every gen-1 elision survives by
-/// construction; the VSA adds sites whose cleanliness transits memory plus
-/// sites it proves dead (paths killed at exit syscalls or constant-false
-/// branches — only when the fixpoint completed without exhaustion).
-struct Gen2Elision {
-  std::vector<uint8_t> elision;
-  size_t gen1_clean = 0;  // sites the register-only analyzer proves clean
-  size_t gen2_clean = 0;  // sites whose check the union table skips
-                          // (clean or proven dead; >= gen1_clean)
-  size_t sites = 0;       // all dereference sites in the program
-
-  // Leak-check elision (VSA-only: gen-1 has no address-provenance notion).
-  std::vector<uint8_t> leak_elision;
-  size_t output_sites = 0;
-  size_t leak_clean = 0;
-  size_t leak_annotated = 0;  // waived by VsaOptions::may_publish
-};
-
-Gen2Elision gen2_elision(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                         const VsaOptions& options = {});
-
-/// The union step of gen2_elision() applied to already-computed analyses
-/// (the summary cache runs the analyses through the incremental entry
-/// points and unions here; gen2_elision() composes the same way).
-Gen2Elision gen2_union(const Cfg& cfg, const TaintAnalysis& g1,
-                       const VsaAnalysis& g2);
+VsaAnalysis analyze_vsa(const Cfg& cfg, const cpu::TaintPolicy& policy,
+                        const VsaOptions& options = {}, int jobs = 1);
 
 /// Resolves function-label names to [begin, end) text PC ranges: each
 /// function spans from its label to the next function label (or text end).

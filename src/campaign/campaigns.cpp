@@ -10,7 +10,6 @@
 
 #include "analysis/cfg.hpp"
 #include "analysis/summary_cache.hpp"
-#include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
 #include "core/attack.hpp"
 #include "core/spec_workloads.hpp"
@@ -674,9 +673,9 @@ StaticCheckReport static_check(const std::string& campaign,
 
   // Program per payload (link-identical across the policy column); the
   // analyses come from the process-wide summary cache — the same entries
-  // Machine::apply_static_elision unions into the gen-2 table, so the
-  // backward check validates exactly the cached bitmaps elided runs
-  // execute under (and the campaign machines usually left them warm).
+  // Machine::apply_static_elision installs, so the backward check
+  // validates exactly the cached bitmaps elided runs execute under (and
+  // the campaign machines usually left them cached).
   std::map<std::string, asmgen::Program> programs;
   auto program_for = [&](const JobResult& r) -> const asmgen::Program& {
     auto it = programs.find(r.payload);
@@ -721,13 +720,14 @@ StaticCheckReport static_check(const std::string& campaign,
     if (!policy) {
       throw std::invalid_argument("static_check: unknown policy " + r.policy);
     }
-    const std::shared_ptr<const analysis::CachedAnalysis> st =
+    const std::shared_ptr<const analysis::CachedAnalysis> cached =
         analysis::SummaryCache::instance().analyze(program_for(r), *policy);
+    const analysis::VsaAnalysis& vsa = cached->vsa;
     if (is_leak) {
       // Forward: the aprov layer must hold a may-leak witness for the
       // kernel-output site; backward: the site must not be in the leak
       // elision bitmap (a leak-elided run would skip the check).
-      if (!st->g2.predicts_leak(alert.pc)) {
+      if (!vsa.predicts_leak(alert.pc)) {
         char line[256];
         std::snprintf(line, sizeof line,
                       "%s / %s / %s: leak alert at %08x (%s) has no prover "
@@ -736,7 +736,7 @@ StaticCheckReport static_check(const std::string& campaign,
                       alert.pc, alert.disasm.c_str());
         out.missed.push_back(line);
       }
-      const analysis::LeakSite* site = st->g2.leak_site_at(alert.pc);
+      const analysis::LeakSite* site = vsa.leak_site_at(alert.pc);
       if (site && site->reachable && site->may_planes == 0) {
         char line[256];
         std::snprintf(line, sizeof line,
@@ -749,7 +749,7 @@ StaticCheckReport static_check(const std::string& campaign,
       continue;
     }
     // Forward: the prover must hold a may-taint witness for the alert site.
-    if (!st->g2.predicts_alert(alert.pc)) {
+    if (!vsa.predicts_alert(alert.pc)) {
       char line[256];
       std::snprintf(line, sizeof line,
                     "%s / %s / %s: dynamic alert at %08x (%s) has no "
@@ -758,16 +758,14 @@ StaticCheckReport static_check(const std::string& campaign,
                     alert.pc, alert.disasm.c_str());
       out.missed.push_back(line);
     }
-    // Backward: the alert site must not be in the gen-2 elision union
-    // (gen-1 clean OR prover clean) — an elided run would skip the check.
-    auto clean = [&](const analysis::DerefSite* s) {
-      return s && s->reachable && !may_be_tainted(s->may_taint);
-    };
-    if (clean(st->g1.site_at(alert.pc)) || clean(st->g2.site_at(alert.pc))) {
+    // Backward: the alert site must not be one the prover clears — an
+    // elided run would skip the check.
+    const analysis::DerefSite* site = vsa.site_at(alert.pc);
+    if (site && site->reachable && !may_be_tainted(site->may_taint)) {
       char line[256];
       std::snprintf(line, sizeof line,
                     "%s / %s / %s: dynamic alert at %08x (%s) sits in the "
-                    "gen-2 elision table",
+                    "elision table",
                     r.app.c_str(), r.payload.c_str(), r.policy.c_str(),
                     alert.pc, alert.disasm.c_str());
       out.elided_alerts.push_back(line);

@@ -99,18 +99,16 @@ std::vector<Job> make_jobs(const std::string& campaign, SnapshotCache& cache,
                            std::optional<cpu::Engine> engine = std::nullopt);
 
 /// Bidirectional cross-validation of the dynamic campaign against the
-/// static analyzers.  For every result whose run ended in a
+/// static prover.  For every result whose run ended in a
 /// pointer-taintedness alert, the job's program is rebuilt and analyzed
-/// under the job's policy by BOTH the register-only analyzer (gen-1) and
-/// the memory-aware value-set prover (gen-2, analysis/vsa.cpp):
+/// under the job's policy by the value-set prover (analysis/vsa.hpp):
 ///
 ///   forward   — the alert PC must sit in the prover's may-set, i.e. the
 ///               prover holds a witness trace for it (`missed` stays empty);
-///   backward  — the alert PC must NOT be in the second-generation elision
-///               table (the gen-1 / gen-2 clean union actually installed by
-///               Machine::apply_static_elision); an alert at an elided site
-///               would mean the elided detector silently skips it
-///               (`elided_alerts` stays empty).
+///   backward  — the alert PC must NOT be a site the prover clears (the
+///               elision table Machine::apply_static_elision installs); an
+///               alert at an elided site would mean the elided detector
+///               silently skips it (`elided_alerts` stays empty).
 ///
 /// Address-leak alerts (AlertKind::kAddressLeak) are cross-validated the
 /// same way against the prover's leak-site layer: forward, the alert PC
@@ -120,7 +118,7 @@ std::vector<Job> make_jobs(const std::string& campaign, SnapshotCache& cache,
 struct StaticCheckReport {
   size_t alerts_checked = 0;        // pointer + leak alerts cross-validated
   std::vector<std::string> missed;  // alerts with no prover witness
-  std::vector<std::string> elided_alerts;  // alerts at gen-2-elided sites
+  std::vector<std::string> elided_alerts;  // alerts at elided sites
 };
 StaticCheckReport static_check(const std::string& campaign,
                                const std::vector<JobResult>& results,

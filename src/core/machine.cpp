@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "analysis/summary_cache.hpp"
-#include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
 
 namespace ptaint::core {
@@ -125,20 +124,20 @@ size_t Machine::enable_static_elision() {
 
 size_t Machine::apply_static_elision() {
   if (program_.text.empty()) return 0;
-  // Second-generation table: the register-only analyzer's bitmap unioned
-  // with the memory-aware value-set prover's (vsa.cpp), so every gen-1
-  // elision survives and sites whose cleanliness transits memory join them.
-  // The summary cache memoizes the whole result set per (program, policy),
-  // so rebooting the same guest — or a near-identical campaign variant —
-  // skips CFG recovery and both fixpoints.
+  // The value-set prover's tables (src/analysis/vsa.hpp).  The summary
+  // cache memoizes them per (program, policy), so rebooting the same guest
+  // skips CFG recovery and the fixpoint.
   const std::shared_ptr<const analysis::CachedAnalysis> cached =
       analysis::SummaryCache::instance().analyze(program_, config_.policy);
-  cpu_->set_check_elision(cached->gen2.elision);
-  cpu_->set_leak_elision(cached->gen2.leak_elision);
+  const analysis::VsaAnalysis& vsa = cached->vsa;
+  cpu_->set_check_elision(vsa.elision);
+  cpu_->set_leak_elision(vsa.leak_elision);
   // Hand the recovered block boundaries to the superblock engine so its
   // translations align with the static CFG (translation hint only).
   cpu_->set_block_leaders(cached->block_leaders);
-  return cached->gen2.gen2_clean;
+  // Bits are set only at dereference sites: this is the elided-check count.
+  return static_cast<size_t>(
+      std::count(vsa.elision.begin(), vsa.elision.end(), 1));
 }
 
 uint32_t Machine::aslr_offset() const {

@@ -212,6 +212,8 @@ class Cpu {
   /// Cleared by set_executable_range and per-entry by
   /// invalidate_decode_range (self-modifying code voids the proof).
   void set_check_elision(const std::vector<uint8_t>& elision);
+  /// The installed check-elision bitmap (sized to the text segment).
+  const std::vector<uint8_t>& check_elision() const { return elide_bits_; }
 
   /// Drops cached decodes overlapping [addr, addr+len).  The store path
   /// calls this for guest stores into text; the OS layer calls it when a
@@ -270,6 +272,8 @@ class Cpu {
   /// cleared by set_executable_range and, per entry, by
   /// invalidate_decode_range (self-modifying code voids the proof).
   void set_leak_elision(const std::vector<uint8_t>& elision);
+  /// The installed leak-elision bitmap (sized to the text segment).
+  const std::vector<uint8_t>& leak_elision() const { return leak_elide_bits_; }
 
   /// Observer invoked on every retired instruction — the pipeline timing
   /// model subscribes here.  `ea` is the effective address for memory ops.

@@ -126,7 +126,15 @@ void ServeDaemon::start() {
 }
 
 void ServeDaemon::stop() {
-  if (!running_.exchange(false)) {
+  // running_ feeds the judge's wait predicate, so it changes under the
+  // judge's mutex: flipped outside it, the notify below could land between
+  // the judge's predicate check and its wait and be lost (wait() hangs).
+  bool was_running = false;
+  {
+    std::lock_guard<std::mutex> lock(judge_mutex_);
+    was_running = running_.exchange(false);
+  }
+  if (!was_running) {
     if (queue_) queue_->stop();
     return;
   }
@@ -348,7 +356,13 @@ void ServeDaemon::worker_main() {
     }
     finish_job(acquired->id, std::move(result));
   }
-  if (active_workers_.fetch_sub(1) == 1) judge_cv_.notify_all();
+  // active_workers_ feeds the judge's wait predicate too (see stop()).
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> lock(judge_mutex_);
+    last = active_workers_.fetch_sub(1) == 1;
+  }
+  if (last) judge_cv_.notify_all();
 }
 
 void ServeDaemon::finish_job(uint64_t id, campaign::JobResult result) {

@@ -137,6 +137,8 @@ class ServeDaemon {
   campaign::ForkCounters fork_counters_;
 
   int listen_fd_ = -1;
+  // Both feed the judge's wait predicate: written only under judge_mutex_
+  // once the threads run (atomic so other threads may read them unlocked).
   std::atomic<bool> running_{false};
   std::atomic<int> active_workers_{0};
   std::thread listener_;

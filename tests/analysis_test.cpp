@@ -1,4 +1,4 @@
-// Tests for the static pointer-taintedness analyzer (src/analysis/):
+// Tests for the static pointer-taintedness prover (src/analysis/):
 // lattice algebra, CFG recovery, Table 1 transfer rules under policy
 // gates, the golden paper alert sites cross-validated against the dynamic
 // detector, and verdict-identity of static check-elision.
@@ -9,7 +9,7 @@
 
 #include "analysis/cfg.hpp"
 #include "analysis/lattice.hpp"
-#include "analysis/taint_analyzer.hpp"
+#include "analysis/vsa.hpp"
 #include "campaign/campaigns.hpp"
 #include "core/attack.hpp"
 #include "core/machine.hpp"
@@ -114,22 +114,24 @@ TEST(CfgRecovery, EverythingReachableInStraightLineProgram) {
 
 // ---- transfer rules --------------------------------------------------------
 
-/// Analyzes a snippet that loads a (tainted-summary) word into $t0, applies
-/// `body`, then dereferences $t1.  Returns the abstract taint at the load
-/// site that dereferences $t1.
+/// Analyzes a snippet that reads input into `cell`, loads it into $t0,
+/// applies `body`, then dereferences $t1.  Returns the abstract taint at
+/// the load site that dereferences $t1.
 Taint taint_after(const std::string& body, const cpu::TaintPolicy& policy) {
   const asmgen::Program p = asmgen::assemble(
-      ".data\ncell: .word 0\n.text\n_start:\n  lw $t0, cell\n" + body +
-      "\n  lw $v0, 0($t1)\n  li $v0, 1\n  li $a0, 0\n  syscall\n");
-  const TaintAnalysis ta = analyze_taint(p, policy);
-  // The dereference of $t1 is the second load in the text segment.
-  for (const DerefSite& s : ta.sites) {
+      ".data\ncell: .word 0\n.text\n_start:\n"
+      "  li $v0, 3\n  li $a0, 0\n  la $a1, cell\n  li $a2, 4\n  syscall\n"
+      "  lw $t0, cell\n" +
+      body + "\n  lw $v0, 0($t1)\n  li $v0, 1\n  li $a0, 0\n  syscall\n");
+  const VsaAnalysis va = analyze_vsa(Cfg(p), policy);
+  for (const DerefSite& s : va.sites) {
     if (s.inst.op == Op::kLw && s.addr_reg == isa::kT1) return s.may_taint;
   }
   ADD_FAILURE() << "no $t1 dereference site found";
   return Taint::kTop;
 }
 
+// `cell` holds input bytes, so the word loaded from it may be tainted.
 TEST(TransferRules, LoadsProduceMaybeTainted) {
   EXPECT_EQ(taint_after("  move $t1, $t0", {}), Taint::kMaybeTainted);
 }
@@ -199,11 +201,11 @@ void expect_statically_predicted(core::AttackId id, bool expect_jump) {
   const uint32_t alert_pc = r.report.alert->pc;
 
   const asmgen::Program program = scenario->prepare_attack({})->program();
-  const TaintAnalysis ta = analyze_taint(program, {});
-  EXPECT_TRUE(ta.predicts_alert(alert_pc))
+  const VsaAnalysis va = analyze_vsa(Cfg(program), {});
+  EXPECT_TRUE(va.predicts_alert(alert_pc))
       << "dynamic alert at " << std::hex << alert_pc
       << " not statically predicted";
-  const DerefSite* site = ta.site_at(alert_pc);
+  const DerefSite* site = va.site_at(alert_pc);
   ASSERT_NE(site, nullptr);
   EXPECT_EQ(site->is_jump, expect_jump);
   EXPECT_TRUE(site->reachable);
@@ -239,25 +241,31 @@ TEST(CheckElision, BitmapCoversOnlyProvenCleanSites) {
   auto scenario = core::make_scenario(core::AttackId::kExp1Stack);
   const asmgen::Program program = scenario->prepare_attack({})->program();
   const Cfg cfg(program);
-  const TaintAnalysis ta = analyze_taint(cfg, {});
-  ASSERT_EQ(ta.elision.size(), cfg.instructions().size());
+  const VsaAnalysis va = analyze_vsa(cfg, {});
+  ASSERT_EQ(va.elision.size(), cfg.instructions().size());
 
+  // A bit is set exactly at reachable clean sites and, the fixpoint having
+  // completed, at sites the abstract execution never reaches (dead code).
   size_t elided = 0;
-  for (const DerefSite& s : ta.sites) {
-    const uint8_t bit = ta.elision[cfg.index_of(s.pc)];
-    if (may_be_tainted(s.may_taint) || !s.reachable) {
-      EXPECT_EQ(bit, 0) << std::hex << s.pc;
+  size_t dead = 0;
+  for (const DerefSite& s : va.sites) {
+    const uint8_t bit = va.elision[cfg.index_of(s.pc)];
+    if (!s.reachable) {
+      EXPECT_EQ(bit, 1) << std::hex << s.pc;
+      ++dead;
+    } else {
+      EXPECT_EQ(bit, may_be_tainted(s.may_taint) ? 0 : 1) << std::hex << s.pc;
     }
     elided += bit;
   }
-  EXPECT_EQ(elided, ta.proven_clean);
-  EXPECT_GT(ta.proven_clean, 0u);    // most sites are provably clean
-  EXPECT_GT(ta.possible_sites, 0u);  // the attack sites are not
+  EXPECT_EQ(elided, va.proven_clean + dead);
+  EXPECT_GT(va.proven_clean, 0u);    // most sites are provably clean
+  EXPECT_GT(va.possible_sites, 0u);  // the attack sites are not
   // Non-dereference instructions never carry an elision bit.
-  for (size_t i = 0; i < ta.elision.size(); ++i) {
-    if (!ta.elision[i]) continue;
+  for (size_t i = 0; i < va.elision.size(); ++i) {
+    if (!va.elision[i]) continue;
     const uint32_t pc = cfg.text_begin() + 4 * static_cast<uint32_t>(i);
-    EXPECT_NE(ta.site_at(pc), nullptr);
+    EXPECT_NE(va.site_at(pc), nullptr);
   }
 }
 

@@ -680,5 +680,28 @@ TEST_F(ServeDaemonTest, RestartReplaysJournaledBacklog) {
   EXPECT_NE(drained.find("\"done\": 3"), std::string::npos);
 }
 
+// Shutdown races the judge's wait predicate twice: the last worker's exit
+// and stop()'s running_ flip.  A wakeup lost to either leaves the judge
+// asleep and wait() hung, so many quick start -> submit -> stop -> wait
+// cycles run under a ctest TIMEOUT (tests/CMakeLists.txt).
+TEST_F(ServeDaemonTest, ShutdownCyclesNeverHangTheJudge) {
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    boot();
+    {
+      Client client(config_.socket_path);
+      const std::string accepted = client.request(
+          "{\"cmd\": \"submit\", \"job\": "
+          "{\"app\": \"attack\", \"payload\": \"exp1-stack-smash\"}}");
+      ASSERT_NE(accepted.find("accepted"), std::string::npos)
+          << "cycle " << cycle;
+    }
+    daemon_->stop();
+    daemon_->wait();
+    // stop() drains the queue: the submitted job still verdicts.
+    ASSERT_EQ(daemon_->stats().jobs_done, 1u) << "cycle " << cycle;
+    daemon_.reset();
+  }
+}
+
 }  // namespace
 }  // namespace ptaint::serve

@@ -1,23 +1,25 @@
 // Tests for the memory-aware value-set taint prover (src/analysis/vsa.cpp):
-// frame-cell precision the register-only analyzer lacks, syscall buffer
-// modeling, witness traces, the gen-2 elision table's strict-superset
-// contract, static/dynamic Table 1 rule parity per policy column, and
-// byte-identical determinism across repeat runs.
+// frame-cell precision, syscall buffer modeling, witness traces, the
+// golden elision tables Machine installs, static/dynamic Table 1 rule
+// parity per policy column, and byte-identical determinism across repeat
+// runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/cfg.hpp"
-#include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
 #include "campaign/campaigns.hpp"
 #include "core/attack.hpp"
 #include "core/machine.hpp"
 #include "cpu/taint_unit.hpp"
 #include "guest/apps/apps.hpp"
+#include "guest/apps/registry.hpp"
 #include "guest/runtime.hpp"
 
 namespace ptaint::analysis {
@@ -45,9 +47,8 @@ const DerefSite* site_with_base(const VsaAnalysis& va, int reg,
 
 // ---- frame-cell precision --------------------------------------------------
 
-// A $ra spill/reload around a call: the register-only analyzer sees the
-// reload as "load = MaybeTainted" and poisons the return; the prover tracks
-// the precise frame cell and clears it.
+// A $ra spill/reload around a call: the reload reads back the precise frame
+// cell the prologue wrote, so the return is provably clean.
 constexpr const char* kSpillReload = R"(
   .text
   _start:
@@ -66,44 +67,38 @@ constexpr const char* kSpillReload = R"(
     jr $ra
 )";
 
+/// work's `jr $ra` (the one preceded by the reload).
+const DerefSite* work_return(const Cfg& cfg, const VsaAnalysis& va) {
+  const DerefSite* found = nullptr;
+  for (const DerefSite& s : va.sites) {
+    const int f = cfg.function_at(s.pc);
+    if (s.is_jump && f >= 0 &&
+        cfg.functions()[static_cast<size_t>(f)].name == "work") {
+      found = &s;
+    }
+  }
+  return found;
+}
+
 TEST(VsaProver, FrameSpillReloadProvesReturnClean) {
   const asmgen::Program p = asmgen::assemble(kSpillReload);
   const Cfg cfg(p);
-  const TaintAnalysis g1 = analyze_taint(cfg, {});
-  const VsaAnalysis g2 = analyze_vsa(cfg, {});
-  // Find work's `jr $ra` (the one preceded by the reload).
-  const uint32_t work_entry = [&] {
-    for (const auto& f : cfg.functions()) {
-      if (f.name == "work") return f.entry;
-    }
-    ADD_FAILURE() << "no function `work`";
-    return 0u;
-  }();
-  const DerefSite* s1 = nullptr;
-  const DerefSite* s2 = nullptr;
-  for (size_t i = 0; i < g1.sites.size(); ++i) {
-    const DerefSite& s = g1.sites[i];
-    if (s.is_jump && cfg.function_at(s.pc) >= 0 &&
-        cfg.functions()[static_cast<size_t>(cfg.function_at(s.pc))].entry ==
-            work_entry) {
-      s1 = &s;
-      s2 = &g2.sites[i];
-    }
-  }
-  ASSERT_NE(s1, nullptr);
-  ASSERT_NE(s2, nullptr);
-  EXPECT_TRUE(may_be_tainted(s1->may_taint))
-      << "gen-1 should degrade the reloaded $ra";
-  EXPECT_FALSE(may_be_tainted(s2->may_taint))
+  const VsaAnalysis va = analyze_vsa(cfg, {});
+  const DerefSite* ret = work_return(cfg, va);
+  ASSERT_NE(ret, nullptr);
+  EXPECT_TRUE(ret->reachable);
+  EXPECT_FALSE(may_be_tainted(ret->may_taint))
       << "the prover should clear the precise frame cell";
 }
 
-TEST(VsaProver, SpillReloadSiteEntersGen2Table) {
+TEST(VsaProver, SpillReloadSiteEntersElisionTable) {
   const asmgen::Program p = asmgen::assemble(kSpillReload);
   const Cfg cfg(p);
-  const Gen2Elision gen2 = gen2_elision(cfg, {});
-  EXPECT_GT(gen2.gen2_clean, gen2.gen1_clean)
-      << "memory-transiting cleanliness should add elisions";
+  const VsaAnalysis va = analyze_vsa(cfg, {});
+  const DerefSite* ret = work_return(cfg, va);
+  ASSERT_NE(ret, nullptr);
+  EXPECT_EQ(va.elision[cfg.index_of(ret->pc)], 1)
+      << "memory-transiting cleanliness should elide the check";
 }
 
 // ---- syscall buffer modeling -----------------------------------------------
@@ -155,24 +150,42 @@ TEST(VsaProver, WitnessTracesInputToDereference) {
   EXPECT_NE(w->steps.back().event.find("dereference"), std::string::npos);
 }
 
-// ---- gen-2 supersedes gen-1 ------------------------------------------------
+// ---- installed tables ------------------------------------------------------
 
-TEST(Gen2Elision, StrictlySupersedesRegisterOnlyTable) {
-  for (auto make : {&guest::apps::exp2_heap, &guest::apps::null_httpd,
-                    &guest::apps::spec_bzip2}) {
+// Over every registry app under every ablation policy column (140
+// programs), the check- and leak-elision bitmaps Machine installs on the
+// CPU are exactly the prover's, and the totals are pinned: a change in what
+// the engines skip shows up here first.
+TEST(ElisionGolden, MachineInstallsProverTablesForEveryAppAndPolicy) {
+  size_t programs = 0;
+  size_t elided = 0;
+  size_t leak_elided = 0;
+  for (const auto& app : guest::apps::registry()) {
     const asmgen::Program p =
-        asmgen::assemble(guest::link_with_runtime(make()));
+        asmgen::assemble(guest::link_with_runtime(app.make()));
     const Cfg cfg(p);
-    const TaintAnalysis g1 = analyze_taint(cfg, {});
-    const Gen2Elision gen2 = gen2_elision(cfg, {});
-    ASSERT_EQ(g1.elision.size(), gen2.elision.size());
-    for (size_t i = 0; i < g1.elision.size(); ++i) {
-      if (g1.elision[i]) {
-        EXPECT_TRUE(gen2.elision[i]) << "gen-1 elision lost at index " << i;
-      }
+    for (const auto& v : campaign::ablation_variants()) {
+      const VsaAnalysis va = analyze_vsa(cfg, v.policy);
+      core::MachineConfig mc;
+      mc.policy = v.policy;
+      core::Machine m(mc);
+      m.load_program(p);
+      const size_t installed = m.enable_static_elision();
+      const std::string where = std::string(app.name) + " / " + v.name;
+      EXPECT_EQ(m.cpu().check_elision(), va.elision) << where;
+      EXPECT_EQ(m.cpu().leak_elision(), va.leak_elision) << where;
+      const auto bits = static_cast<size_t>(
+          std::count(va.elision.begin(), va.elision.end(), 1));
+      EXPECT_EQ(installed, bits) << where;
+      elided += bits;
+      leak_elided += static_cast<size_t>(
+          std::count(va.leak_elision.begin(), va.leak_elision.end(), 1));
+      ++programs;
     }
-    EXPECT_GE(gen2.gen2_clean, gen2.gen1_clean);
   }
+  EXPECT_EQ(programs, 140u);
+  EXPECT_EQ(elided, 31873u);
+  EXPECT_EQ(leak_elided, 2373u);
 }
 
 // ---- static/dynamic Table 1 parity -----------------------------------------
@@ -286,9 +299,6 @@ TEST(Determinism, RepeatRunsAreByteIdentical) {
       EXPECT_EQ(a.witnesses[i].steps[j].loc, b.witnesses[i].steps[j].loc);
     }
   }
-  const Gen2Elision g1 = gen2_elision(cfg, {});
-  const Gen2Elision g2 = gen2_elision(cfg, {});
-  EXPECT_EQ(g1.elision, g2.elision);
 }
 
 // ---- golden paper sites as prover witnesses --------------------------------
@@ -313,7 +323,7 @@ class ScopedEngine {
   std::string saved_;
 };
 
-/// Runs the scenario's attack with gen-2 elision installed on `engine`,
+/// Runs the scenario's attack with check elision installed on `engine`,
 /// checks the dynamic alert matches the paper's site, and requires the
 /// prover to hold a complete witness trace for exactly that PC.
 void expect_golden_witness(core::AttackId id, const char* engine,
@@ -323,7 +333,7 @@ void expect_golden_witness(core::AttackId id, const char* engine,
   auto scenario = core::make_scenario(id);
   const cpu::TaintPolicy policy;  // paper defaults (pointer taintedness)
   auto machine = scenario->prepare_attack(policy);
-  machine->enable_static_elision();  // the gen-2 table
+  machine->enable_static_elision();
   core::RunReport report = machine->run();
   const core::ScenarioResult r =
       scenario->classify_attack(*machine, std::move(report));
@@ -395,18 +405,6 @@ TEST(MayPublishProver, AnnotatedSitesAreExplainedNotPossible) {
     ASSERT_NE(site, nullptr);
     EXPECT_FALSE(site->annotated);
   }
-}
-
-TEST(MayPublishProver, Gen2ElisionCarriesAnnotationCounts) {
-  const asmgen::Program p = asmgen::assemble(
-      guest::link_with_runtime(guest::apps::leak_telemetry()));
-  const Cfg cfg(p);
-  cpu::TaintPolicy policy;
-  policy.leak_detection = true;
-  VsaOptions options;
-  options.may_publish = resolve_publish_ranges(p, {"send"}, true);
-  const Gen2Elision gen2 = gen2_elision(Cfg(p), policy, options);
-  EXPECT_GT(gen2.leak_annotated, 0u);
 }
 
 TEST(MayPublishProver, ResolveRangesMirrorsProtectSymbolContract) {

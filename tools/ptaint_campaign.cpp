@@ -31,8 +31,8 @@
 //                   is a cross-engine verdict-identity check.
 //   --static-check  bidirectional cross-validation: every dynamic
 //                   pointer-taint alert must carry a value-set-prover
-//                   witness (forward) and must not sit in the gen-2
-//                   elision table (backward); exit 1 on either violation
+//                   witness (forward) and must not sit at a site the
+//                   prover clears (backward); exit 1 on either violation
 //
 // Exit codes (docs/CAMPAIGN.md):
 //   0  every job ended in a guest-side outcome (ok/fault/budget)
@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
       }
     }
     if (!sc.elided_alerts.empty()) {
-      std::cerr << "ptaint-campaign: dynamic alerts at gen-2-elided sites "
+      std::cerr << "ptaint-campaign: dynamic alerts at elided sites "
                    "(the elided detector would skip them):\n";
       for (const std::string& line : sc.elided_alerts) {
         std::cerr << "  " << line << "\n";
@@ -279,15 +279,11 @@ int main(int argc, char** argv) {
     }
     const analysis::CacheStats as = analysis::SummaryCache::instance().stats();
     std::fprintf(stderr,
-                 "time: analysis cache %llu lookups %llu hits %llu warm "
-                 "(%llu fallbacks) %llu cold, %llu fns invalidated, "
+                 "time: analysis cache %llu lookups %llu hits %llu cold, "
                  "%.1fms analyzing\n",
                  static_cast<unsigned long long>(as.lookups),
                  static_cast<unsigned long long>(as.hits),
-                 static_cast<unsigned long long>(as.warm_hits),
-                 static_cast<unsigned long long>(as.warm_fallbacks),
                  static_cast<unsigned long long>(as.cold_misses),
-                 static_cast<unsigned long long>(as.invalidated_fns),
                  static_cast<double>(as.analysis_micros) / 1000.0);
   }
   return exit_code_for(results);

@@ -6,14 +6,15 @@
 // Assembles the input (linked with the guest runtime unless --no-runtime),
 // recovers the CFG, and runs the classic lints (use-before-def, unreachable
 // blocks, stack push/pop imbalance, clobbered callee-saved registers).
-// With --taint-report it also prints the static pointer-taintedness
-// analyzer's possible tainted-dereference sites, and with --elision-stats
-// the proven-clean/possible site counts.
+// With --taint-report it also prints the value-set prover's possible
+// tainted-dereference sites, and with --elision-stats the proven-clean /
+// possible site counts.
 //
 // Exit codes mirror ptaint-run's convention:
 //   0  no findings
 //   1  lint findings reported
 //   4  usage or assembly error
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -27,7 +28,7 @@
 
 #include "analysis/cfg.hpp"
 #include "analysis/lint.hpp"
-#include "analysis/taint_analyzer.hpp"
+#include "analysis/summary_cache.hpp"
 #include "guest/apps/registry.hpp"
 #include "guest/runtime.hpp"
 
@@ -252,19 +253,23 @@ exit codes: 0 no findings, 1 findings, 4 usage or assembly error
   } else if (!quiet) {
     std::fputs(analysis::format_findings(findings).c_str(), stdout);
     if (taint_report || elision_stats) {
-      const analysis::TaintAnalysis ta = analysis::analyze_taint(cfg, policy);
+      const std::shared_ptr<const analysis::CachedAnalysis> cached =
+          analysis::SummaryCache::instance().analyze(program, policy);
+      const analysis::VsaAnalysis& vsa = cached->vsa;
       if (taint_report) {
         std::printf("possible tainted dereference sites:\n%s",
-                    ta.report(cfg).c_str());
+                    vsa.report(cfg).c_str());
       }
       if (elision_stats) {
+        const auto elided = static_cast<size_t>(
+            std::count(vsa.elision.begin(), vsa.elision.end(), 1));
         std::printf("%zu dereference sites: %zu possibly tainted, "
-                    "%zu proven clean (%.1f%% elidable)\n",
-                    ta.sites.size(), ta.possible_sites, ta.proven_clean,
-                    ta.sites.empty()
+                    "%zu proven clean or dead (%.1f%% elidable)\n",
+                    vsa.sites.size(), vsa.possible_sites, elided,
+                    vsa.sites.empty()
                         ? 0.0
-                        : 100.0 * static_cast<double>(ta.proven_clean) /
-                              static_cast<double>(ta.sites.size()));
+                        : 100.0 * static_cast<double>(elided) /
+                              static_cast<double>(vsa.sites.size()));
       }
     }
   }

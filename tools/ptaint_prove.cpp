@@ -4,9 +4,8 @@
 //   ptaint-prove --app NAME
 //
 // Assembles the input (linked with the guest runtime unless --no-runtime)
-// and runs both static analyzers: the register-only pass (gen-1) and the
-// value-set prover (gen-2, src/analysis/vsa.cpp).  For every dereference
-// site the prover cannot clear it prints a *witness*: a shortest
+// and runs the value-set prover (src/analysis/vsa.hpp).  For every
+// dereference site the prover cannot clear it prints a *witness*: a shortest
 // source-rooted may-taint path (syscall input / argv / TAINTSET /
 // unmodeled stack read -> memory cells -> registers -> the dereference).
 // A witness whose chain could not be connected to any taint source is
@@ -34,7 +33,6 @@
 
 #include "analysis/cfg.hpp"
 #include "analysis/summary_cache.hpp"
-#include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
 #include "guest/apps/registry.hpp"
 #include "guest/runtime.hpp"
@@ -86,10 +84,9 @@ std::string json_escape(const std::string& s) {
 }
 
 struct Stats {
-  size_t sites = 0;       // reachable dereference sites
-  size_t gen1_clean = 0;  // proven clean by the register-only analyzer
-  size_t gen2_clean = 0;  // proven clean by the unioned gen-2 table
-  size_t may_sites = 0;   // sites the prover cannot clear (VSA verdict)
+  size_t sites = 0;       // dereference sites on a CFG path from the entry
+  size_t elided = 0;      // of those, in the elision table (clean or dead)
+  size_t may_sites = 0;   // sites the prover cannot clear
   size_t unexplained = 0; // may sites with no source-rooted witness
 };
 
@@ -250,64 +247,59 @@ exit codes: 0 all witnesses source-rooted, 1 unexplained witnesses,
   if (jobs > 1) cache.set_jobs(jobs);
   const std::shared_ptr<const analysis::CachedAnalysis> cached =
       cache.analyze(program, policy, opts);
-  const analysis::TaintAnalysis& g1 = cached->g1;
-  const analysis::VsaAnalysis& g2 = cached->g2;
+  const analysis::VsaAnalysis& vsa = cached->vsa;
 
   Stats st;
-  for (size_t i = 0; i < g1.sites.size(); ++i) {
-    const analysis::DerefSite& s1 = g1.sites[i];
-    const analysis::DerefSite& s2 = g2.sites[i];
-    if (!s1.reachable && !s2.reachable) continue;
+  const std::vector<bool> reach = cfg.reachable_blocks();
+  for (const analysis::DerefSite& s : vsa.sites) {
+    const int b = cfg.block_at(s.pc);
+    if (!s.reachable && (b < 0 || !reach[static_cast<size_t>(b)])) continue;
     ++st.sites;
-    // Use the elision bitmaps so the counts match the table the
-    // interpreter installs (they include sites the prover shows dead).
-    const size_t idx = cfg.index_of(s1.pc);
-    const bool bit1 = g1.elision[idx] != 0;
-    const bool bit2 = g2.elision[idx] != 0;
-    if (bit1) ++st.gen1_clean;
-    if (bit1 || bit2) ++st.gen2_clean;
-    if (s2.reachable && may_be_tainted(s2.may_taint)) ++st.may_sites;
+    // Use the elision bitmap so the count matches the table the
+    // interpreter installs (it includes sites the prover shows dead).
+    if (vsa.elision[cfg.index_of(s.pc)] != 0) ++st.elided;
+    if (s.reachable && may_be_tainted(s.may_taint)) ++st.may_sites;
   }
-  for (const analysis::Witness& w : g2.witnesses) {
+  for (const analysis::Witness& w : vsa.witnesses) {
     if (!w.complete) ++st.unexplained;
   }
 
   // Leak-direction stats (always computed; only reported under --leaks).
   size_t leak_unexplained = 0;
-  for (const analysis::Witness& w : g2.leak_witnesses) {
+  for (const analysis::Witness& w : vsa.leak_witnesses) {
     if (!w.complete) ++leak_unexplained;
   }
 
   if (leaks) {
     if (json && !quiet) {
       std::printf("{\n");
-      std::printf("  \"schema\": 2,\n");
+      std::printf("  \"schema\": 3,\n");
       std::printf("  \"app\": \"%s\",\n", json_escape(app_name).c_str());
       std::printf("  \"direction\": \"leak\",\n");
-      std::printf("  \"output_sites\": %zu,\n", g2.output_sites);
-      std::printf("  \"leak_clean\": %zu,\n", g2.leak_clean);
-      std::printf("  \"leak_possible\": %zu,\n", g2.leak_possible);
-      std::printf("  \"leak_annotated\": %zu,\n", g2.leak_annotated);
+      std::printf("  \"output_sites\": %zu,\n", vsa.output_sites);
+      std::printf("  \"leak_clean\": %zu,\n", vsa.leak_clean);
+      std::printf("  \"leak_possible\": %zu,\n", vsa.leak_possible);
+      std::printf("  \"leak_annotated\": %zu,\n", vsa.leak_annotated);
       std::printf("  \"unexplained\": %zu,\n", leak_unexplained);
       std::printf("  \"analysis_cache\": %s,\n", cache.stats().json(false).c_str());
       std::printf("  \"witnesses\": [");
-      print_witnesses_json(cfg, g2.leak_witnesses);
+      print_witnesses_json(cfg, vsa.leak_witnesses);
       std::printf("\n}\n");
     } else if (!quiet) {
       std::printf("%zu kernel-output site(s): %zu leak check(s) elided "
                   "(%.1f%%), %zu may leak an address, %zu annotated "
                   "may-publish\n",
-                  g2.output_sites, g2.leak_clean,
-                  g2.output_sites
-                      ? 100.0 * static_cast<double>(g2.leak_clean) /
-                            static_cast<double>(g2.output_sites)
+                  vsa.output_sites, vsa.leak_clean,
+                  vsa.output_sites
+                      ? 100.0 * static_cast<double>(vsa.leak_clean) /
+                            static_cast<double>(vsa.output_sites)
                       : 0.0,
-                  g2.leak_possible, g2.leak_annotated);
-      std::printf("%s", g2.leak_report(cfg).c_str());
+                  vsa.leak_possible, vsa.leak_annotated);
+      std::printf("%s", vsa.leak_report(cfg).c_str());
       if (witnesses) {
-        print_witnesses_text(cfg, g2.leak_witnesses);
+        print_witnesses_text(cfg, vsa.leak_witnesses);
         std::printf("\n%zu leak witness(es), %zu unexplained\n",
-                    g2.leak_witnesses.size(), leak_unexplained);
+                    vsa.leak_witnesses.size(), leak_unexplained);
       }
     }
     return leak_unexplained == 0 ? 0 : 1;
@@ -315,35 +307,30 @@ exit codes: 0 all witnesses source-rooted, 1 unexplained witnesses,
 
   if (json && !quiet) {
     std::printf("{\n");
-    std::printf("  \"schema\": 2,\n");
+    std::printf("  \"schema\": 3,\n");
     std::printf("  \"app\": \"%s\",\n", json_escape(app_name).c_str());
     std::printf("  \"sites\": %zu,\n", st.sites);
-    std::printf("  \"gen1_clean\": %zu,\n", st.gen1_clean);
-    std::printf("  \"gen2_clean\": %zu,\n", st.gen2_clean);
+    std::printf("  \"elided\": %zu,\n", st.elided);
     std::printf("  \"may_tainted\": %zu,\n", st.may_sites);
     std::printf("  \"unexplained\": %zu,\n", st.unexplained);
-    std::printf("  \"output_sites\": %zu,\n", g2.output_sites);
-    std::printf("  \"leak_clean\": %zu,\n", g2.leak_clean);
+    std::printf("  \"output_sites\": %zu,\n", vsa.output_sites);
+    std::printf("  \"leak_clean\": %zu,\n", vsa.leak_clean);
     std::printf("  \"analysis_cache\": %s,\n", cache.stats().json(false).c_str());
     std::printf("  \"witnesses\": [");
-    print_witnesses_json(cfg, g2.witnesses);
+    print_witnesses_json(cfg, vsa.witnesses);
     std::printf("\n}\n");
   } else if (!quiet) {
-    std::printf("%zu reachable dereference site(s): %zu proven clean by the "
-                "register-only analyzer, %zu by the gen-2 table "
-                "(%.1f%% -> %.1f%% elidable), %zu may-tainted\n",
-                st.sites, st.gen1_clean, st.gen2_clean,
-                st.sites ? 100.0 * static_cast<double>(st.gen1_clean) /
-                               static_cast<double>(st.sites)
-                         : 0.0,
-                st.sites ? 100.0 * static_cast<double>(st.gen2_clean) /
+    std::printf("%zu reachable dereference site(s): %zu proven clean "
+                "(%.1f%% elidable), %zu may-tainted\n",
+                st.sites, st.elided,
+                st.sites ? 100.0 * static_cast<double>(st.elided) /
                                static_cast<double>(st.sites)
                          : 0.0,
                 st.may_sites);
     if (witnesses) {
-      print_witnesses_text(cfg, g2.witnesses);
+      print_witnesses_text(cfg, vsa.witnesses);
       std::printf("\n%zu witness(es), %zu unexplained\n",
-                  g2.witnesses.size(), st.unexplained);
+                  vsa.witnesses.size(), st.unexplained);
     }
   }
   return st.unexplained == 0 ? 0 : 1;
