@@ -14,9 +14,10 @@
 // Part 3 — content-addressed store (DESIGN.md §13).  The ablation
 // campaign runs store-backed; its key set interns every built snapshot's
 // pages, and the columns show what the store buys: page dedup ratio
-// across keys, store bytes per snapshot, RLE compression ratio once the
-// working set is evicted, and rehydration rates from each tier (hot
-// store pages, compressed images, disk files).
+// across keys, store bytes per snapshot, the disk format's RLE
+// compression ratio over the canonical page set, and rehydration rates
+// from each tier (hot store pages, and page files read by a restarted
+// store).
 //
 //   bench_snapshot_throughput [scale] [json-path]
 //   bench_snapshot_throughput --check
@@ -37,6 +38,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -198,12 +201,12 @@ constexpr cpu::Engine kAllEngines[] = {
     cpu::Engine::kStep, cpu::Engine::kSuperblock, cpu::Engine::kJit};
 
 /// --check leg 2: a snapshot dehydrated into the store and hydrated back
-/// from every tier (hot pages, compressed images, disk files) must be
-/// byte-identical and produce the same reports on all three engines.
+/// from both tiers (hot pages, then the page files a restarted store
+/// reads) must be byte-identical and produce the same reports on all
+/// three engines.
 bool check_store_identity(const SpecWorkload& w) {
   auto machine = prepare_spec_workload(w, {});
   MachineSnapshot snap = machine->snapshot();
-  machine.reset();  // the store must end up the blocks' only owner
 
   std::vector<std::string> reference;
   for (const cpu::Engine engine : kAllEngines) {
@@ -216,58 +219,54 @@ bool check_store_identity(const SpecWorkload& w) {
   }
 
   const std::string dir = make_temp_dir();
-  bool ok = true;
-  {
-    mem::PageStore::Config sc;
-    sc.hot_page_budget = 1u << 16;
-    sc.disk_dir = dir;
-    mem::PageStore store(std::move(sc));
-    auto stored = core::dehydrate_snapshot(snap, store);
-    if (!stored) {
-      std::fprintf(stderr, "%s: snapshot would not dehydrate\n",
-                   w.name.c_str());
-      std::filesystem::remove_all(dir);
-      return false;
-    }
-    store.flush();
-    // Keep a pristine page image to diff against, then release the live
-    // snapshot so drop_caches() can actually evict.
-    mem::TaintedMemory pristine;
-    pristine.deep_copy_from(snap.memory);
-    snap = MachineSnapshot{};
+  mem::PageStore::Config sc;
+  sc.disk_dir = dir;
+  auto store = std::make_unique<mem::PageStore>(sc);
+  const auto stored = core::dehydrate_snapshot(snap, *store);
+  if (!stored) {
+    std::fprintf(stderr, "%s: snapshot would not dehydrate\n", w.name.c_str());
+    std::filesystem::remove_all(dir);
+    return false;
+  }
+  store->flush();
 
-    for (const char* tier : {"hot", "compressed", "disk"}) {
-      if (std::string(tier) == "compressed") store.drop_caches(false);
-      if (std::string(tier) == "disk") store.drop_caches(true);
-      auto hydrated = core::hydrate_snapshot(*stored, store);
-      if (!hydrated) {
-        std::fprintf(stderr, "%s: hydrate from %s tier failed\n",
-                     w.name.c_str(), tier);
+  bool ok = true;
+  for (const char* tier : {"hot", "disk"}) {
+    if (std::string(tier) == "disk") {
+      store = std::make_unique<mem::PageStore>(sc);  // restart: pages cold
+    }
+    auto hydrated = core::hydrate_snapshot(*stored, *store);
+    if (!hydrated) {
+      std::fprintf(stderr, "%s: hydrate from %s tier failed\n",
+                   w.name.c_str(), tier);
+      ok = false;
+      continue;
+    }
+    if (!pages_identical(snap.memory, hydrated->memory)) {
+      std::fprintf(stderr, "%s: %s-tier pages differ from the original\n",
+                   w.name.c_str(), tier);
+      ok = false;
+    }
+    for (size_t e = 0; e < std::size(kAllEngines); ++e) {
+      MachineConfig cfg;
+      cfg.engine = kAllEngines[e];
+      Machine m(cfg);
+      m.restore(*hydrated);
+      m.run_for(kSlice * 2);
+      if (report_fingerprint(m.report()) != reference[e]) {
+        std::fprintf(stderr, "%s: %s-tier restore diverges on %s\n",
+                     w.name.c_str(), tier,
+                     engine_name(kAllEngines[e]).c_str());
         ok = false;
-        continue;
       }
-      if (!pages_identical(pristine, hydrated->memory)) {
-        std::fprintf(stderr, "%s: %s-tier pages differ from the original\n",
-                     w.name.c_str(), tier);
-        ok = false;
-      }
-      for (size_t e = 0; e < std::size(kAllEngines); ++e) {
-        MachineConfig cfg;
-        cfg.engine = kAllEngines[e];
-        Machine m(cfg);
-        m.restore(*hydrated);
-        m.run_for(kSlice * 2);
-        if (report_fingerprint(m.report()) != reference[e]) {
-          std::fprintf(stderr, "%s: %s-tier restore diverges on %s\n",
-                       w.name.c_str(), tier,
-                       engine_name(kAllEngines[e]).c_str());
-          ok = false;
-        }
-      }
-      // Drop the hydrated image before switching tiers so its blocks
-      // return to the store as sole owner.
     }
   }
+  if (store->stats().disk_reads == 0) {
+    std::fprintf(stderr, "%s: the restarted store read no page files\n",
+                 w.name.c_str());
+    ok = false;
+  }
+  store.reset();
   std::filesystem::remove_all(dir);
   return ok;
 }
@@ -430,22 +429,21 @@ int main(int argc, char** argv) {
 
   // Part 3: the same ablation campaign, store-backed.  One live cache so
   // the store survives the run: the key set (shared boots x policy
-  // variants) interns into it, and afterwards we force the eviction tiers
-  // on the final page population to measure compression and per-tier
-  // rehydration rates.
+  // variants) interns into it, and afterwards the canonical page set is
+  // run through the disk codec to measure its compression.
   campaign::StoreOptions sopts;
   sopts.enabled = true;
   campaign::SnapshotCache scache(sopts);
+  const std::vector<campaign::Job> store_jobs = campaign::make_jobs(
+      "ablation", scache, /*spec_scale=*/1, /*elide=*/false, {});
   std::vector<campaign::JobResult> store_results;
   double store_s = 0.0;
   {
     campaign::Executor::Config config;
     config.workers = 4;
     campaign::Executor executor(config);
-    const std::vector<campaign::Job> jobs = campaign::make_jobs(
-        "ablation", scache, /*spec_scale=*/1, /*elide=*/false, {});
     const auto t0 = Clock::now();
-    store_results = executor.run(jobs);
+    store_results = executor.run(store_jobs);
     store_s = seconds_since(t0);
   }
   const std::vector<std::string> sdiffs =
@@ -469,14 +467,28 @@ int main(int argc, char** argv) {
       cs.builds > 0 ? static_cast<double>(cs.store.canonical_pages) *
                           mem::PageStore::kPlaneBytes / cs.builds
                     : 0.0;
-  // Force every canonical page through RLE to read the compression ratio
-  // over the whole population (not just whatever LRU already evicted).
-  scache.drop_hydrated();
-  scache.store()->drop_caches(/*compressed_images=*/false);
-  const mem::PageStore::Stats ps = scache.store()->stats();
+  // Every snapshot's blocks are canonical store blocks (interned on build,
+  // fetched on rehydration), so the distinct blocks across the campaign's
+  // snapshots are the canonical page set.
+  std::set<const mem::TaintedMemory::Page*> canonical;
+  uint64_t uncompressed_bytes = 0, compressed_bytes = 0;
+  for (const campaign::Job& job : store_jobs) {
+    for (const auto& [idx, block] : job.get_snapshot()->memory.page_blocks()) {
+      if (!canonical.insert(block.get()).second) continue;
+      uncompressed_bytes += mem::PageStore::kPlaneBytes;
+      compressed_bytes += mem::PageStore::compress_page(*block).size();
+    }
+  }
+  if (canonical.size() != cs.store.canonical_pages) {
+    std::fprintf(stderr, "snapshots hold %zu distinct blocks, store has %llu "
+                         "canonical pages\n",
+                 canonical.size(),
+                 static_cast<unsigned long long>(cs.store.canonical_pages));
+    return 1;
+  }
   const double compression =
-      ps.compressed_bytes > 0
-          ? static_cast<double>(ps.uncompressed_bytes) / ps.compressed_bytes
+      compressed_bytes > 0
+          ? static_cast<double>(uncompressed_bytes) / compressed_bytes
           : 0.0;
   std::printf(
       "ablation store-backed: %.2fs, %llu refs -> %llu canonical pages "
@@ -486,47 +498,42 @@ int main(int argc, char** argv) {
       bytes_per_snapshot / 1024.0, compression);
 
   // Per-tier rehydration rates on one workload snapshot: hot store pages,
-  // compressed images, disk files (self-contained temp dir).
-  double tier_rate[3] = {0.0, 0.0, 0.0};
+  // then page files, each disk hydrate in a freshly restarted store
+  // (self-contained temp dir; only the hydrate itself is timed).
+  double tier_rate[2] = {0.0, 0.0};
   {
     const auto workloads = make_spec_workloads(scale);
-    auto tm = prepare_spec_workload(workloads.front(), {});
-    MachineSnapshot tsnap = tm->snapshot();
-    tm.reset();
+    MachineSnapshot tsnap =
+        prepare_spec_workload(workloads.front(), {})->snapshot();
     const std::string tier_dir = make_temp_dir();
-    {
-      mem::PageStore::Config pc;
-      pc.disk_dir = tier_dir;
-      mem::PageStore tstore(std::move(pc));
-      const auto stored = core::dehydrate_snapshot(tsnap, tstore);
-      tstore.flush();
-      tsnap = MachineSnapshot{};  // store must own the blocks to evict
-      if (stored) {
-        const int kHydrates = 25 * scale;
-        for (int tier = 0; tier < 3; ++tier) {
-          double s = 0.0;
-          for (int i = 0; i < kHydrates; ++i) {
-            if (tier >= 1) tstore.drop_caches(/*compressed_images=*/false);
-            if (tier == 2) tstore.drop_caches(/*compressed_images=*/true);
-            const auto t0 = Clock::now();
-            const auto hydrated = core::hydrate_snapshot(*stored, tstore);
-            s += seconds_since(t0);
-            if (!hydrated) {
-              std::fprintf(stderr, "tier %d hydrate failed\n", tier);
-              return 1;
-            }
+    mem::PageStore::Config pc;
+    pc.disk_dir = tier_dir;
+    auto tstore = std::make_unique<mem::PageStore>(pc);
+    const auto stored = core::dehydrate_snapshot(tsnap, *tstore);
+    tstore->flush();
+    if (stored) {
+      const int kHydrates = 25 * scale;
+      for (int tier = 0; tier < 2; ++tier) {
+        double s = 0.0;
+        for (int i = 0; i < kHydrates; ++i) {
+          if (tier == 1) tstore = std::make_unique<mem::PageStore>(pc);
+          const auto t0 = Clock::now();
+          const auto hydrated = core::hydrate_snapshot(*stored, *tstore);
+          s += seconds_since(t0);
+          if (!hydrated) {
+            std::fprintf(stderr, "tier %d hydrate failed\n", tier);
+            return 1;
           }
-          tier_rate[tier] = s > 0 ? kHydrates / s : 0.0;
         }
+        tier_rate[tier] = s > 0 ? kHydrates / s : 0.0;
       }
     }
+    tstore.reset();
     std::filesystem::remove_all(tier_dir);
   }
-  std::printf(
-      "store hydrate rates (%s): hot %.0f/s, compressed %.0f/s, "
-      "disk %.0f/s\n",
-      make_spec_workloads(scale).front().name.c_str(), tier_rate[0],
-      tier_rate[1], tier_rate[2]);
+  std::printf("store hydrate rates (%s): hot %.0f/s, disk %.0f/s\n",
+              make_spec_workloads(scale).front().name.c_str(), tier_rate[0],
+              tier_rate[1]);
 
   char sbuf[768];
   std::snprintf(
@@ -535,13 +542,12 @@ int main(int argc, char** argv) {
       "\"interned_refs\": %llu, \"dedup_ratio\": %.3f, "
       "\"bytes_per_snapshot\": %.0f, \"uncompressed_bytes\": %llu, "
       "\"compressed_bytes\": %llu, \"compression_ratio\": %.3f, "
-      "\"hydrate_hot_per_s\": %.0f, \"hydrate_compressed_per_s\": %.0f, "
-      "\"hydrate_disk_per_s\": %.0f}\n}\n",
+      "\"hydrate_hot_per_s\": %.0f, \"hydrate_disk_per_s\": %.0f}\n}\n",
       store_s, static_cast<unsigned long long>(cs.store.canonical_pages),
       static_cast<unsigned long long>(cs.store.interned_refs), dedup,
-      bytes_per_snapshot, static_cast<unsigned long long>(ps.uncompressed_bytes),
-      static_cast<unsigned long long>(ps.compressed_bytes), compression,
-      tier_rate[0], tier_rate[1], tier_rate[2]);
+      bytes_per_snapshot, static_cast<unsigned long long>(uncompressed_bytes),
+      static_cast<unsigned long long>(compressed_bytes), compression,
+      tier_rate[0], tier_rate[1]);
   json += sbuf;
   std::ofstream out(json_path, std::ios::binary);
   out << json;

@@ -5,16 +5,16 @@
 // a victim's — the classic split that keeps an unbalanced matrix (one slow
 // SPEC workload among quick attack runs) from idling workers.
 //
-// Each job runs entirely on one worker thread: build (or restore) the
-// Machine, drive it in instruction slices with wall-clock and
+// Each job runs entirely on one worker thread: restore the Machine from
+// the job's snapshot, drive it in instruction slices with wall-clock and
 // instruction-budget checks between slices, classify, write the result
 // into its matrix slot.  Guest faults are captured in the job's result; a
 // job that throws is marked kHarnessError and retried once.  Results come
 // back in stable matrix order regardless of completion order.
 //
-// Jobs carrying the fork fields (machine_key / make_config / get_snapshot)
-// additionally let a worker keep a small pool of machines, one per
-// (snapshot × config) key: a repeat job restores its machine from the
+// Jobs name their machine config (machine_key / make_config) and their
+// snapshot (get_snapshot), so a worker keeps a small pool of machines, one
+// per config key: a repeat job restores its machine from the
 // shared snapshot — a COW delta restore, O(pages the last run dirtied) —
 // instead of constructing and deep-populating a fresh one.  The matrix is
 // dealt in contiguous chunks (not round-robin) so neighbouring jobs, which
@@ -43,8 +43,9 @@ class Executor {
     /// Instructions per run_for slice between deadline checks (~a few
     /// milliseconds of guest time per check).
     uint64_t slice_instructions = 250'000;
-    /// Bounded retries for jobs that fail in the harness (make/classify
-    /// threw).  Guest-side faults are results, not retries.
+    /// Bounded retries for jobs that fail in the harness (snapshot or
+    /// machine build, or classify, threw).  Guest-side faults are results,
+    /// not retries.
     int max_retries = 1;
   };
 

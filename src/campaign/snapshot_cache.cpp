@@ -57,7 +57,6 @@ SnapshotCache::SnapshotCache() : SnapshotCache(StoreOptions::from_env()) {}
 SnapshotCache::SnapshotCache(const StoreOptions& options) : options_(options) {
   if (!options_.enabled) return;
   mem::PageStore::Config config;
-  config.hot_page_budget = options_.hot_pages;
   config.disk_dir = options_.disk_dir;
   store_ = std::make_unique<mem::PageStore>(std::move(config));
   if (!options_.disk_dir.empty()) load_disk_blobs();
@@ -81,22 +80,12 @@ void SnapshotCache::load_disk_blobs() {
     auto decoded = core::decode_stored_snapshot(bytes);
     if (!decoded) continue;
     auto& [key, stored] = *decoded;
-    // Adopt one pin per page ref; a blob referencing pages whose files were
-    // lost is discarded (the key just rebuilds on first use).
-    size_t pinned = 0;
-    bool ok = true;
-    for (const auto& [idx, page_key] : stored.pages) {
-      (void)idx;
-      if (!store_->pin(page_key)) {
-        ok = false;
-        break;
-      }
-      ++pinned;
-    }
-    if (!ok) {
-      for (size_t i = 0; i < pinned; ++i) {
-        store_->release(stored.pages[i].second);
-      }
+    // A blob referencing pages whose files were lost is discarded (the key
+    // just rebuilds on first use).
+    if (!std::all_of(stored.pages.begin(), stored.pages.end(),
+                     [this](const auto& ref) {
+                       return store_->contains(ref.second);
+                     })) {
       continue;
     }
     auto entry = std::make_shared<Entry>();
@@ -215,10 +204,6 @@ void SnapshotCache::dehydrate_lru_locked() {
     droppable[i]->snapshot.reset();
     ++stats_.dehydrations;
   }
-  // Dropping cache references may have left store blocks sole-owned;
-  // compress the cold ones.  (PageStore has its own lock; no ordering
-  // cycle — the store never calls back into the cache.)
-  store_->evict_cold();
 }
 
 SnapshotCache::Stats SnapshotCache::stats() const {
@@ -237,18 +222,6 @@ SnapshotCache::Stats SnapshotCache::stats() const {
     out.store = store_->stats();
   }
   return out;
-}
-
-void SnapshotCache::drop_hydrated() {
-  if (!store_) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, entry] : entries_) {
-    if (entry && entry->snapshot && entry->stored) {
-      entry->snapshot.reset();
-      ++stats_.dehydrations;
-    }
-  }
-  store_->evict_cold();
 }
 
 void SnapshotCache::flush_disk() {

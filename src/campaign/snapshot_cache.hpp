@@ -40,8 +40,6 @@ struct StoreOptions {
   /// Hydrated snapshots kept per cache; least-recently-used entries beyond
   /// this are dropped to their dehydrated (store-page) form.
   size_t hot_snapshots = 32;
-  /// Materialized-page budget of the underlying PageStore.
-  size_t hot_pages = 1u << 16;
   /// Disk-tier directory (empty = memory-only store).  One live cache per
   /// directory: two processes sharing a directory concurrently is
   /// unsupported (the write-behind files would race).
@@ -89,7 +87,7 @@ class SnapshotCache {
     uint64_t hydrated_snapshots = 0;  // entries currently materialized
     double hydrate_ms = 0.0;      // wall time spent rehydrating
     bool store_enabled = false;
-    mem::PageStore::Stats store;  // page-level dedup/compression/disk
+    mem::PageStore::Stats store;  // page-level dedup/disk
   };
   /// builds/hits/misses/…_ms and the (re|de)hydration counters are running
   /// counters; page counts and store occupancies are recomputed at call
@@ -99,15 +97,6 @@ class SnapshotCache {
   /// serve daemon's `status` reply and the tests read these directly
   /// instead of parsing stderr.
   Stats stats() const;
-
-  /// The attached page store (nullptr without one) — bench/test hook for
-  /// drop_caches()/flush()-style tier forcing.
-  mem::PageStore* store() { return store_.get(); }
-
-  /// Drops every hydrated snapshot that has a dehydrated form, then evicts
-  /// cold store pages — forces the next get() of each key through the
-  /// store path.  Bench/test hook; no-op without a store.
-  void drop_hydrated();
 
   /// Blocks until the store's write-behind queue is durable.  Call before
   /// a planned process exit so a restart sees every warm snapshot.

@@ -1,13 +1,13 @@
 // Per-worker job execution core, shared by the batch Executor and the
 // ptaint-serve daemon shards.
 //
-// A worker owns a MachinePool (kept machines, one per snapshot×config key)
-// and calls run_job() for each job it claims: build or restore the
-// Machine, drive it in instruction slices with wall-clock and budget
-// checks between slices, classify, and return the filled JobResult.  The
-// pool is strictly thread-local to its worker — machines are
-// single-threaded by contract — while ForkCounters aggregates build/reuse
-// tallies across workers.
+// A worker owns a MachinePool (kept machines, one per config key)
+// and calls run_job() for each job it claims: restore a kept (or fresh)
+// Machine from the job's snapshot, drive it in instruction slices with
+// wall-clock and budget checks between slices, classify, and return the
+// filled JobResult.  The pool is strictly thread-local to its worker —
+// machines are single-threaded by contract — while ForkCounters
+// aggregates build/reuse tallies across workers.
 //
 // Extracted from the executor (DESIGN.md §7) so a long-running daemon
 // shard gets the exact batch-campaign semantics: same slice loop, same
@@ -27,9 +27,8 @@
 
 namespace ptaint::campaign {
 
-/// Per-worker machine pool for the fork path: one machine per
-/// (snapshot × config) key, FIFO-evicted past a small cap so a campaign
-/// with many boots cannot hoard decode caches.
+/// Per-worker machine pool: one machine per config key, FIFO-evicted past
+/// a small cap so a campaign with many boots cannot hoard decode caches.
 class MachinePool {
  public:
   core::Machine* find(const std::string& key);
@@ -46,7 +45,7 @@ class MachinePool {
   std::deque<std::pair<std::string, std::unique_ptr<core::Machine>>> entries_;
 };
 
-/// Cross-worker tallies for the fork path.
+/// Cross-worker machine build/reuse tallies.
 struct ForkCounters {
   std::atomic<uint64_t> machine_builds{0};
   std::atomic<uint64_t> machine_reuses{0};
@@ -57,9 +56,9 @@ struct ForkCounters {
 struct WorkerConfig {
   /// Instructions per run_for slice between deadline checks.
   uint64_t slice_instructions = 250'000;
-  /// Bounded retries for jobs that fail in the harness (make/classify
-  /// threw) — and, for jobs opting in via Job::retry_on_timeout, for
-  /// wall-clock timeouts.
+  /// Bounded retries for jobs that fail in the harness (snapshot or
+  /// machine build, or classify, threw) — and, for jobs opting in via
+  /// Job::retry_on_timeout, for wall-clock timeouts.
   int max_retries = 1;
 };
 

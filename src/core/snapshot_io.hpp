@@ -36,14 +36,13 @@ struct StoredSnapshot {
 
 /// Interns every memory page of `snapshot` into `store` (replacing its
 /// blocks with the canonical duplicates — the snapshot stays fully usable)
-/// and serializes the rest.  The caller owns one store pin per page ref.
-/// Returns nullopt for pipeline-bearing snapshots.
+/// and serializes the rest.  Returns nullopt for pipeline-bearing snapshots.
 std::optional<StoredSnapshot> dehydrate_snapshot(MachineSnapshot& snapshot,
                                                  mem::PageStore& store);
 
 /// Rebuilds a full MachineSnapshot: fetches every page ref and decodes the
 /// meta blob.  Returns nullopt when a page is missing from the store or
-/// the blob fails to decode (caller rebuilds from source).  Does not pin.
+/// the blob fails to decode (caller rebuilds from source).
 std::optional<MachineSnapshot> hydrate_snapshot(const StoredSnapshot& stored,
                                                 mem::PageStore& store);
 

@@ -1,6 +1,5 @@
 #include "mem/page_store.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +23,11 @@ uint64_t fnv1a(uint64_t h, const uint8_t* data, size_t n) {
 // Page-file header: magic, format version, raw size, compressed size.
 constexpr uint32_t kPageMagic = 0x47505450u;  // "PTPG"
 constexpr uint32_t kPageVersion = 1;
+
+/// Collision slots per hash bucket that a page-file name may claim.  Real
+/// buckets hold one slot (a second needs a full 64-bit FNV collision); the
+/// cap keeps a bogus name from sizing a bucket to its slot id.
+constexpr unsigned long long kMaxSlotsPerHash = 64;
 
 /// PackBits-style RLE: control byte c < 128 emits c+1 literal bytes,
 /// c >= 128 repeats the next byte 257-c times (2..129 capped to 128).
@@ -164,10 +168,11 @@ PageStore::PageStore(Config config) : config_(std::move(config)) {
   for (const auto& entry :
        std::filesystem::directory_iterator(config_.disk_dir, ec)) {
     unsigned long long hash = 0;
-    unsigned slot = 0;
+    unsigned long long slot = 0;
     const std::string name = entry.path().filename().string();
-    if (std::sscanf(name.c_str(), "p-%16llx-%u.page", &hash, &slot) != 2 ||
-        name.size() < 7 || name.substr(name.size() - 5) != ".page") {
+    if (std::sscanf(name.c_str(), "p-%16llx-%llu.page", &hash, &slot) != 2 ||
+        name.size() < 7 || name.substr(name.size() - 5) != ".page" ||
+        slot >= kMaxSlotsPerHash) {
       continue;
     }
     auto& bucket = index_[hash];
@@ -217,7 +222,7 @@ std::shared_ptr<PageStore::Page> PageStore::load_from_disk(const Key& key) {
 std::pair<std::shared_ptr<PageStore::Page>, PageStore::Key> PageStore::intern(
     std::shared_ptr<Page> page) {
   const uint64_t hash = hash_page(*page);
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.interned_refs;
   auto& bucket = index_[hash];
   for (uint32_t i = 0; i < bucket.size(); ++i) {
@@ -225,13 +230,9 @@ std::pair<std::shared_ptr<PageStore::Page>, PageStore::Key> PageStore::intern(
     if (!slot.present) continue;
     const Key key{hash, i};
     // Materialize for the exact-content compare (bucket scans are almost
-    // always a single hot slot; inflating here is the rare collision or
-    // evicted-content path, and the block is about to be referenced anyway).
+    // always a single hot slot; reading here is the restarted-store path,
+    // and the block is about to be referenced anyway).
     std::shared_ptr<Page> canon = slot.hot;
-    if (!canon && !slot.compressed.empty()) {
-      canon = decompress_page(slot.compressed.data(), slot.compressed.size());
-      ++stats_.decompressions;
-    }
     if (!canon && slot.on_disk) {
       canon = load_from_disk(key);
       ++stats_.disk_reads;
@@ -241,12 +242,7 @@ std::pair<std::shared_ptr<PageStore::Page>, PageStore::Key> PageStore::intern(
         canon->aprov != page->aprov) {
       continue;  // full-hash collision: try the next slot
     }
-    if (!slot.hot) {
-      slot.hot = canon;
-      ++hot_count_;
-    }
-    ++slot.pins;
-    slot.last_touch = ++tick_;
+    if (!slot.hot) slot.hot = canon;
     ++stats_.dedup_hits;
     return {slot.hot, key};
   }
@@ -263,12 +259,8 @@ std::pair<std::shared_ptr<PageStore::Page>, PageStore::Key> PageStore::intern(
   slot = Slot{};
   slot.present = true;
   slot.hot = page;
-  slot.pins = 1;
-  slot.last_touch = ++tick_;
-  ++hot_count_;
   const Key key{hash, slot_id};
   if (!config_.disk_dir.empty()) {
-    slot.queued = true;
     PendingWrite w;
     w.name = page_file_name(key);
     w.page = page;
@@ -279,93 +271,23 @@ std::pair<std::shared_ptr<PageStore::Page>, PageStore::Key> PageStore::intern(
     }
     write_cv_.notify_all();
   }
-  evict_cold_locked(lock);
   return {std::move(page), key};
 }
 
 std::shared_ptr<PageStore::Page> PageStore::fetch(const Key& key) {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   Slot* slot = find_slot(key);
   if (!slot) return nullptr;
-  slot->last_touch = ++tick_;
-  if (slot->hot) return slot->hot;
-  if (!slot->compressed.empty()) {
-    slot->hot =
-        decompress_page(slot->compressed.data(), slot->compressed.size());
-    ++stats_.decompressions;
-  } else if (slot->on_disk) {
+  if (!slot->hot && slot->on_disk) {
     slot->hot = load_from_disk(key);
     ++stats_.disk_reads;
   }
-  if (slot->hot) ++hot_count_;
   return slot->hot;
 }
 
-bool PageStore::pin(const Key& key) {
+bool PageStore::contains(const Key& key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Slot* slot = find_slot(key);
-  if (!slot) return false;
-  ++slot->pins;
-  return true;
-}
-
-void PageStore::release(const Key& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Slot* slot = find_slot(key);
-  if (slot && slot->pins > 0) --slot->pins;
-}
-
-void PageStore::evict_cold() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  evict_cold_locked(lock);
-}
-
-void PageStore::evict_cold_locked(std::unique_lock<std::mutex>& lock) {
-  (void)lock;
-  if (hot_count_ <= config_.hot_page_budget) return;
-  // Coldest-first over evictable blocks: materialized, and the store holds
-  // the only reference (a block shared with a hydrated snapshot or a live
-  // machine stays hot — compressing it would save nothing).
-  std::vector<std::pair<uint64_t, Slot*>> victims;
-  for (auto& [hash, bucket] : index_) {
-    for (Slot& slot : bucket) {
-      if (slot.present && slot.hot && slot.hot.use_count() == 1) {
-        victims.emplace_back(slot.last_touch, &slot);
-      }
-    }
-  }
-  std::sort(victims.begin(), victims.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [touch, slot] : victims) {
-    if (hot_count_ <= config_.hot_page_budget) break;
-    if (slot->compressed.empty()) {
-      slot->compressed = compress_page(*slot->hot);
-    }
-    slot->hot.reset();
-    --hot_count_;
-    ++stats_.evictions;
-  }
-}
-
-void PageStore::drop_caches(bool compressed_images) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [hash, bucket] : index_) {
-    for (Slot& slot : bucket) {
-      if (!slot.present) continue;
-      if (slot.hot && slot.hot.use_count() == 1) {
-        if (slot.compressed.empty() && !slot.on_disk) {
-          slot.compressed = compress_page(*slot.hot);
-        }
-        slot.hot.reset();
-        --hot_count_;
-        ++stats_.evictions;
-      }
-      if (compressed_images && slot.on_disk && !slot.queued) {
-        slot.compressed.clear();
-        slot.compressed.shrink_to_fit();
-      }
-    }
-  }
+  return find_slot(key) != nullptr;
 }
 
 void PageStore::queue_blob(const std::string& name,
@@ -418,11 +340,10 @@ void PageStore::writer_main() {
         std::filesystem::path(config_.disk_dir) / w.name, bytes);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (ok) ++stats_.disk_writes;
-      if (w.page) {
-        if (Slot* slot = find_slot(w.key)) {
-          slot->queued = false;
-          if (ok) slot->on_disk = true;
+      if (ok) {
+        ++stats_.disk_writes;
+        if (Slot* slot = w.page ? find_slot(w.key) : nullptr) {
+          slot->on_disk = true;
         }
       }
     }
@@ -442,11 +363,6 @@ PageStore::Stats PageStore::stats() const {
       if (!slot.present) continue;
       ++out.canonical_pages;
       if (slot.hot) ++out.hot_pages;
-      if (!slot.compressed.empty()) {
-        ++out.compressed_pages;
-        out.uncompressed_bytes += kPlaneBytes;
-        out.compressed_bytes += slot.compressed.size();
-      }
       if (slot.on_disk) ++out.disk_pages;
     }
   }

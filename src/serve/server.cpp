@@ -554,12 +554,7 @@ std::string ServeDaemon::status_json() {
        << ", \"interned_refs\": " << ps.interned_refs
        << ", \"dedup_hits\": " << ps.dedup_hits
        << ", \"hot_pages\": " << ps.hot_pages
-       << ", \"compressed_pages\": " << ps.compressed_pages
        << ", \"disk_pages\": " << ps.disk_pages
-       << ", \"uncompressed_bytes\": " << ps.uncompressed_bytes
-       << ", \"compressed_bytes\": " << ps.compressed_bytes
-       << ", \"evictions\": " << ps.evictions
-       << ", \"decompressions\": " << ps.decompressions
        << ", \"disk_reads\": " << ps.disk_reads
        << ", \"disk_writes\": " << ps.disk_writes << "}";
   }

@@ -294,11 +294,13 @@ campaign::Job flaky_timeout_job(
   job.policy = "paper";
   job.timeout = std::chrono::milliseconds(200);
   job.max_instructions = 500'000'000;
-  job.make = [attempts_seen]() {
+  job.machine_key = "unit";
+  job.make_config = [] { return core::MachineConfig{}; };
+  job.get_snapshot = [attempts_seen]() {
     const int attempt = attempts_seen->fetch_add(1) + 1;
-    auto m = std::make_unique<core::Machine>();
-    m->load_source(attempt == 1 ? kRetrySpin : kRetryExitZero);
-    return m;
+    core::Machine m;
+    m.load_source(attempt == 1 ? kRetrySpin : kRetryExitZero);
+    return std::make_shared<const core::MachineSnapshot>(m.snapshot());
   };
   job.classify = [](core::Machine&, const core::RunReport& report,
                     campaign::JobResult& out) {

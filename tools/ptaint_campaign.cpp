@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "time: snapshot store %llu canonical pages for %llu refs "
-          "(%.2fx dedup), %llu hot %llu compressed (%.2fx) %llu on disk, "
+          "(%.2fx dedup), %llu hot %llu on disk, "
           "%llu rehydrations (%.1fms, %llu from disk)\n",
           static_cast<unsigned long long>(ps.canonical_pages),
           static_cast<unsigned long long>(ps.interned_refs),
@@ -269,10 +269,6 @@ int main(int argc, char** argv) {
                                    static_cast<double>(ps.canonical_pages)
                              : 0.0,
           static_cast<unsigned long long>(ps.hot_pages),
-          static_cast<unsigned long long>(ps.compressed_pages),
-          ps.compressed_bytes ? static_cast<double>(ps.uncompressed_bytes) /
-                                    static_cast<double>(ps.compressed_bytes)
-                              : 0.0,
           static_cast<unsigned long long>(ps.disk_pages),
           static_cast<unsigned long long>(cs.rehydrations), cs.hydrate_ms,
           static_cast<unsigned long long>(cs.disk_rehydrations));

@@ -17,7 +17,7 @@
 //   --timeout-ms N     default per-job deadline (default 60000)
 //   --slice N          instructions per deadline-check slice
 //   --snapshot-store   content-addressed snapshot store (DESIGN.md §13):
-//                      snapshot pages deduped/compressed across keys
+//                      snapshot pages deduped across keys
 //   --snapshot-dir D   snapshot store with a disk tier in directory D; a
 //                      restarted daemon rehydrates warm snapshots from it
 //   --verbose          startup/shutdown chatter on stderr
