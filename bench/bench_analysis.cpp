@@ -3,19 +3,16 @@
 // Exercises the summary cache (analysis/summary_cache.hpp) over the six
 // SPEC surrogates, the largest static surfaces in the repo:
 //
-//   * cold     — first analysis of each program (CFG recovery + VSA
-//                fixpoint), jobs = 1;
-//   * exact    — a second lookup of the identical program: pure
-//                content-hash hit, no analysis runs;
-//   * parallel — cold VSA fixpoint on a thread pool (SCC condensation
-//                schedule) vs. single-threaded, byte-identical results.
+//   * cold  — first analysis of each program (CFG recovery + VSA
+//             fixpoint);
+//   * exact — a second lookup of the identical program: pure content-hash
+//             hit, no analysis runs.
 //
 //   bench_analysis [json-path]       timing run (default BENCH_analysis.json)
 //   bench_analysis --check           identity run for the sanitizer legs:
-//                                    parallel == serial and cached ==
-//                                    uncached on every surrogate (bitmaps,
-//                                    verdicts, witnesses, leak sites);
-//                                    timing skipped; exit 1 on any
+//                                    cached == uncached on every surrogate
+//                                    (bitmaps, verdicts, witnesses, leak
+//                                    sites); timing skipped; exit 1 on any
 //                                    divergence
 #include <algorithm>
 #include <chrono>
@@ -23,7 +20,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -112,11 +108,6 @@ std::vector<AppSurface> build_surfaces() {
   return out;
 }
 
-int parallel_jobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::max(2u, hw ? hw : 2u));
-}
-
 struct AppRow {
   std::string name;
   size_t text_words = 0;
@@ -131,16 +122,14 @@ int run_check(const std::vector<AppSurface>& apps) {
   VsaOptions opts;
   opts.witnesses = true;
   const cpu::TaintPolicy policy;
-  const int jobs = parallel_jobs();
   int rc = 0;
   for (const AppSurface& app : apps) {
     const Cfg cfg(app.program);
     const VsaAnalysis uncached = analyze_vsa(cfg, policy, opts);
-    SummaryCache serial;
-    serial.set_jobs(1);
-    (void)serial.analyze(app.program, policy, opts);
-    const auto hit = serial.analyze(app.program, policy, opts);
-    if (serial.stats().hits != 1) {
+    SummaryCache cache;
+    (void)cache.analyze(app.program, policy, opts);
+    const auto hit = cache.analyze(app.program, policy, opts);
+    if (cache.stats().hits != 1) {
       std::fprintf(stderr, "FAIL %s: repeat lookup missed the cache\n",
                    app.name.c_str());
       rc = 1;
@@ -149,15 +138,7 @@ int run_check(const std::vector<AppSurface>& apps) {
                    uncached)) {
       rc = 1;
     }
-    SummaryCache par;
-    par.set_jobs(jobs);
-    const auto p = par.analyze(app.program, policy, opts);
-    if (!identical(app.name + " parallel-vs-serial", cfg, p->vsa, hit->vsa) ||
-        p->block_leaders != hit->block_leaders) {
-      rc = 1;
-    }
-    std::printf("%-8s cached==uncached, parallel(%d)==serial\n",
-                app.name.c_str(), jobs);
+    std::printf("%-8s cached==uncached\n", app.name.c_str());
   }
   std::printf("%s\n", rc == 0 ? "bench_analysis --check: all identical"
                               : "bench_analysis --check: DIVERGENCE");
@@ -178,7 +159,6 @@ int run_timing(const std::vector<AppSurface>& apps,
     row.exact_us = 1e9;
     for (int rep = 0; rep < kReps; ++rep) {
       SummaryCache cache;
-      cache.set_jobs(1);
       auto t0 = Clock::now();
       (void)cache.analyze(app.program, policy, opts);
       row.cold_ms = std::min(row.cold_ms, ms_since(t0));
@@ -191,25 +171,6 @@ int run_timing(const std::vector<AppSurface>& apps,
                 row.exact_us);
     rows.push_back(row);
   }
-
-  // Parallel speedup on the largest surrogate.
-  size_t largest = 0;
-  for (size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].text_words > rows[largest].text_words) largest = i;
-  }
-  const int jobs = parallel_jobs();
-  double par_ms = 1e9;
-  for (int rep = 0; rep < kReps; ++rep) {
-    SummaryCache cache;
-    cache.set_jobs(jobs);
-    const auto t0 = Clock::now();
-    (void)cache.analyze(apps[largest].program, policy, opts);
-    par_ms = std::min(par_ms, ms_since(t0));
-  }
-  const double par_speedup = rows[largest].cold_ms / par_ms;
-  std::printf("parallel (%s, %d jobs): %8.2fms vs %8.2fms serial (%.2fx)\n",
-              rows[largest].name.c_str(), jobs, par_ms, rows[largest].cold_ms,
-              par_speedup);
 
   std::ofstream out(json_path);
   out << "{\n  \"bench\": \"analysis_cache\",\n  \"apps\": [\n";
@@ -224,14 +185,7 @@ int run_timing(const std::vector<AppSurface>& apps,
                   r.exact_us, i + 1 < rows.size() ? "," : "");
     out << buf;
   }
-  out << "  ],\n";
-  std::snprintf(buf, sizeof buf,
-                "  \"largest\": \"%s\",\n  \"parallel\": {\"jobs\": %d, "
-                "\"serial_ms\": %.3f, \"parallel_ms\": %.3f, "
-                "\"speedup\": %.2f}\n}\n",
-                rows[largest].name.c_str(), jobs, rows[largest].cold_ms,
-                par_ms, par_speedup);
-  out << buf;
+  out << "  ]\n}\n";
   out.close();
   std::printf("wrote %s\n", json_path.c_str());
   return 0;

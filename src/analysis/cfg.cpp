@@ -140,9 +140,6 @@ void Cfg::wire_edges() {
       if (callee < 0 || callee_block < 0) return;
       bb.call_succs.push_back(callee_block);
       functions_[static_cast<size_t>(callee)].return_sites.push_back(last_pc + 4);
-      if (bb.function >= 0) {
-        functions_[static_cast<size_t>(bb.function)].callees.push_back(callee);
-      }
     };
     if (last.op == Op::kJal) {
       add_call(last.target);
@@ -205,9 +202,6 @@ void Cfg::wire_edges() {
     f.return_sites.erase(
         std::unique(f.return_sites.begin(), f.return_sites.end()),
         f.return_sites.end());
-    std::sort(f.callees.begin(), f.callees.end());
-    f.callees.erase(std::unique(f.callees.begin(), f.callees.end()),
-                    f.callees.end());
   }
 }
 

@@ -54,7 +54,6 @@ struct Function {
   uint32_t end = 0;                    // one past the last owned PC
   std::vector<int> blocks;             // block indices, ascending by PC
   std::vector<uint32_t> return_sites;  // PCs following calls to this function
-  std::vector<int> callees;            // function indices called (jal only)
 };
 
 class Cfg {

@@ -88,10 +88,10 @@ std::vector<uint8_t> block_leaders_of(const Cfg& cfg,
 
 std::shared_ptr<const CachedAnalysis> analyze_cold(
     const asmgen::Program& program, const cpu::TaintPolicy& policy,
-    const VsaOptions& options, int jobs) {
+    const VsaOptions& options) {
   const Cfg cfg(program);
   auto out = std::make_shared<CachedAnalysis>();
-  out->vsa = analyze_vsa(cfg, policy, options, jobs);
+  out->vsa = analyze_vsa(cfg, policy, options);
   out->block_leaders = block_leaders_of(cfg, program);
   return out;
 }
@@ -105,13 +105,6 @@ struct Key {
     return content != o.content ? content < o.content : policy < o.policy;
   }
 };
-
-int env_jobs() {
-  const char* v = std::getenv("PTAINT_ANALYSIS_JOBS");
-  if (v == nullptr || *v == '\0') return 1;
-  const long n = std::strtol(v, nullptr, 10);
-  return n > 0 ? static_cast<int>(n) : 1;
-}
 
 }  // namespace
 
@@ -147,7 +140,6 @@ struct SummaryCache::Impl {
   std::set<Key> in_flight;
   CacheStats stats;
   size_t capacity = 32;
-  int jobs = env_jobs();
 };
 
 SummaryCache::SummaryCache() : impl_(std::make_shared<Impl>()) {}
@@ -181,23 +173,12 @@ void SummaryCache::set_capacity(size_t cap) {
   impl_->capacity = cap > 0 ? cap : 1;
 }
 
-void SummaryCache::set_jobs(int jobs) {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->jobs = jobs > 0 ? jobs : 1;
-}
-
-int SummaryCache::jobs() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->jobs;
-}
-
 std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
     const asmgen::Program& program, const cpu::TaintPolicy& policy,
     const VsaOptions& options) {
   Impl& im = *impl_;
   const Key key{program_hash(program), policy_hash(policy, options)};
 
-  int jobs = 1;
   if (enabled()) {
     std::unique_lock<std::mutex> lk(im.mu);
     ++im.stats.lookups;
@@ -214,16 +195,14 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
       im.cv.wait(lk);
     }
     im.in_flight.insert(key);
-    jobs = im.jobs;
   } else {
     std::lock_guard<std::mutex> lk(im.mu);
     ++im.stats.lookups;
-    jobs = im.jobs;
   }
 
   const auto t0 = std::chrono::steady_clock::now();
   std::shared_ptr<const CachedAnalysis> result =
-      analyze_cold(program, policy, options, jobs);
+      analyze_cold(program, policy, options);
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -15,10 +15,9 @@
 // a different Table 1 configuration is a different entry.  The LRU holds
 // 32 entries.
 //
-// Environment knobs:
+// Environment knob:
 //   PTAINT_ANALYSIS_CACHE=0    bypass (every lookup analyzes cold; the CI
 //                              identity leg diffs this against cached runs)
-//   PTAINT_ANALYSIS_JOBS=N     thread-pool width for cold VSA fixpoints
 #pragma once
 
 #include <cstdint>
@@ -54,7 +53,7 @@ struct CacheStats {
 
 /// Thread-safe LRU memoizer.  `analyze` is the single entry point: it
 /// returns the cached result on an exact content hit and runs a cold
-/// analysis (parallel when jobs > 1) otherwise.  Concurrent lookups of the
+/// analysis on the calling thread otherwise.  Concurrent lookups of the
 /// same key block on one analysis, so hits + cold_misses == lookups.
 class SummaryCache {
  public:
@@ -71,8 +70,6 @@ class SummaryCache {
   void clear();
 
   void set_capacity(size_t cap);
-  void set_jobs(int jobs);
-  int jobs() const;
 
   /// PTAINT_ANALYSIS_CACHE != "0" (memoization on).  When off, analyze()
   /// still computes and returns the same result object, uncached.

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -346,19 +341,15 @@ class VsaEngine {
     has_in_.assign(nblocks, 0);
     queued_.assign(nblocks, 0);
     fns_.resize(cfg.functions().size());
-    fn_mu_ = std::make_unique<std::mutex[]>(cfg.functions().size() + 1);
   }
 
-  void run(int jobs);
+  void run();
   VsaAnalysis finish(const VsaOptions& options);
-  bool exhausted() const { return exhausted_; }
-  void reset_block_runs() { block_runs_ = 0; }
 
  private:
   // driver
   void flow_to(int b, const State& s);
   void queue_compose(uint32_t call_pc, int fidx);
-  void worker();
   void process_block(int b);
   void after_block(const BasicBlock& bb, State& s);
   void handle_call(uint32_t call_pc, int caller_fn, int fidx, const State& s);
@@ -368,9 +359,6 @@ class VsaEngine {
   State degrade_for_foreign(const State& s) const;
   static State smash_unknown_call();
   State block_in(int b) const;  // in-state + stack-height degrade preamble
-  std::mutex& mu_of(int fn) {
-    return fn_mu_[fn >= 0 ? static_cast<size_t>(fn) : fns_.size()];
-  }
 
   // transfer (`fn` = function whose frame coords the state is in)
   void record_site(uint32_t pc, const Instruction& inst, const State& s);
@@ -411,51 +399,36 @@ class VsaEngine {
   // (witness BFS targets).
   std::vector<std::set<uint64_t>> leak_srcs_;
 
-  // Per-block states: in_state_[b]/has_in_[b] are guarded by the block's
-  // function mutex (mu_of) when parallel_.  uint8_t, not bool — adjacent
-  // vector<bool> bits share a byte and would race across functions.
+  // Per-block states.
   std::vector<State> in_state_;
   std::vector<uint8_t> has_in_;
 
-  // Work queues, all under wl_mu_.  The serial driver uses the FIFO deque
-  // (preserving the historical iteration order exactly, which matters only
-  // at the block-run budget edge); the parallel driver uses a priority set
-  // ordered by callee-first SCC rank so callee summaries tend to converge
-  // before their callers compose.
+  // Work queues: FIFO blocks first, then pending call-site compositions.
+  // The FIFO order is the canonical visit order, which matters only at the
+  // block-run budget edge.
   std::vector<uint8_t> queued_;
   std::deque<int> worklist_;
-  std::set<std::pair<int, int>> pq_;  // (priority, block)
-  std::vector<int> fn_prio_;
-  bool parallel_ = false;
-  int active_ = 0;  // workers currently processing an item
-  std::mutex wl_mu_;
-  std::condition_variable wl_cv_;
 
-  // fns_[f] (exit + summary) shares f's function mutex with f's blocks.
-  // Lock hierarchy: mu_of(fn) -> inter_mu_ -> wl_mu_; never two function
-  // mutexes at once (compose copies the callee FnInfo out first).
-  std::vector<FnInfo> fns_;
-  std::unique_ptr<std::mutex[]> fn_mu_;  // one per function + one for fn<0
+  std::vector<FnInfo> fns_;  // per function: exit state + summary
 
-  // Interprocedural records, under inter_mu_.
+  // Interprocedural records.
   std::map<uint32_t, CallSite> call_sites_;        // call pc -> site record
   std::map<int, std::set<uint32_t>> call_pairs_;   // fidx -> calling pcs
   std::map<int, std::optional<std::vector<int>>> inline_plans_;
-  std::mutex inter_mu_;
 
-  std::deque<std::pair<uint32_t, int>> compose_q_;  // under wl_mu_
+  std::deque<std::pair<uint32_t, int>> compose_q_;
   std::set<std::pair<uint32_t, int>> compose_queued_;
 
   EventSet events_;
   EventSet aprov_events_;  // address-provenance flows (leak witnesses)
-  std::atomic<size_t> block_runs_{0};
-  std::atomic<bool> exhausted_{false};
+  size_t block_runs_ = 0;
+  bool exhausted_ = false;
 
   // Site/leak facts are recorded only during collect_pass (replay from the
   // converged states): the transfer is monotone, so the facts a site joins
   // over every iteration visit equal the facts its final in-state yields.
-  // This is what makes iteration order — serial or parallel — and visit
-  // counts irrelevant to the collected verdicts.
+  // This is what makes iteration order and visit counts irrelevant to the
+  // collected verdicts.
   bool collecting_ = false;
 };
 
@@ -1201,49 +1174,34 @@ void VsaEngine::transfer(uint32_t pc, const Instruction& inst, State& s,
 
 void VsaEngine::summary_write(int fn, int32_t off, AbsVal v) {
   if (fn < 0 || off < 0) return;
-  bool changed = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(fn));
-    FnSummary& sum = fns_[static_cast<size_t>(fn)].summary;
-    auto it = sum.caller_writes.find(off);
-    const AbsVal nv = it == sum.caller_writes.end() ? v : join(it->second, v);
-    if (it == sum.caller_writes.end() || nv != it->second) {
-      sum.caller_writes[off] = nv;
-      changed = true;
-    }
-  }
-  if (changed) summary_changed(fn);
+  FnSummary& sum = fns_[static_cast<size_t>(fn)].summary;
+  auto it = sum.caller_writes.find(off);
+  const AbsVal nv = it == sum.caller_writes.end() ? v : join(it->second, v);
+  if (it != sum.caller_writes.end() && nv == it->second) return;
+  sum.caller_writes[off] = nv;
+  summary_changed(fn);
 }
 
 void VsaEngine::summary_unknown_write(int fn, Taint t, mem::TaintBits aprov) {
   if (fn < 0) return;
-  bool changed = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(fn));
-    FnSummary& sum = fns_[static_cast<size_t>(fn)].summary;
-    const Taint nt = join(sum.unknown_taint, t);
-    const mem::TaintBits na =
-        static_cast<mem::TaintBits>(sum.unknown_aprov | aprov);
-    if (!sum.unknown_write || nt != sum.unknown_taint ||
-        na != sum.unknown_aprov) {
-      sum.unknown_write = true;
-      sum.unknown_taint = nt;
-      sum.unknown_aprov = na;
-      changed = true;
-    }
+  FnSummary& sum = fns_[static_cast<size_t>(fn)].summary;
+  const Taint nt = join(sum.unknown_taint, t);
+  const mem::TaintBits na =
+      static_cast<mem::TaintBits>(sum.unknown_aprov | aprov);
+  if (sum.unknown_write && nt == sum.unknown_taint &&
+      na == sum.unknown_aprov) {
+    return;
   }
-  if (changed) summary_changed(fn);
+  sum.unknown_write = true;
+  sum.unknown_taint = nt;
+  sum.unknown_aprov = na;
+  summary_changed(fn);
 }
 
 void VsaEngine::summary_changed(int fidx) {
-  std::vector<uint32_t> pcs;
-  {
-    std::lock_guard<std::mutex> lk(inter_mu_);
-    auto it = call_pairs_.find(fidx);
-    if (it == call_pairs_.end()) return;
-    pcs.assign(it->second.begin(), it->second.end());
-  }
-  for (uint32_t call_pc : pcs) queue_compose(call_pc, fidx);
+  auto it = call_pairs_.find(fidx);
+  if (it == call_pairs_.end()) return;
+  for (uint32_t call_pc : it->second) queue_compose(call_pc, fidx);
 }
 
 // ---- interprocedural driver ------------------------------------------------
@@ -1251,40 +1209,23 @@ void VsaEngine::summary_changed(int fidx) {
 void VsaEngine::flow_to(int b, const State& s) {
   if (b < 0) return;
   const auto ub = static_cast<size_t>(b);
-  const int bfn = cfg_.blocks()[ub].function;
-  bool changed = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(bfn));
-    if (has_in_[ub] == 0) {
-      in_state_[ub] = s;
-      has_in_[ub] = 1;
-      changed = true;
-    } else {
-      State j = join_states(in_state_[ub], s);
-      changed = !(j == in_state_[ub]);
-      in_state_[ub] = std::move(j);
-    }
+  if (has_in_[ub] == 0) {
+    in_state_[ub] = s;
+    has_in_[ub] = 1;
+  } else {
+    State j = join_states(in_state_[ub], s);
+    if (j == in_state_[ub]) return;
+    in_state_[ub] = std::move(j);
   }
-  if (!changed) return;
-  std::lock_guard<std::mutex> lk(wl_mu_);
   if (queued_[ub] == 0) {
     queued_[ub] = 1;
-    if (parallel_) {
-      pq_.insert({bfn >= 0 ? fn_prio_[static_cast<size_t>(bfn)]
-                           : static_cast<int>(fn_prio_.size()),
-                  b});
-    } else {
-      worklist_.push_back(b);
-    }
-    wl_cv_.notify_one();
+    worklist_.push_back(b);
   }
 }
 
 void VsaEngine::queue_compose(uint32_t call_pc, int fidx) {
-  std::lock_guard<std::mutex> lk(wl_mu_);
   if (compose_queued_.insert({call_pc, fidx}).second) {
     compose_q_.push_back({call_pc, fidx});
-    wl_cv_.notify_one();
   }
 }
 
@@ -1337,64 +1278,48 @@ State VsaEngine::make_entry(const CallSite& cs) const {
 
 void VsaEngine::handle_call(uint32_t call_pc, int caller_fn, int fidx,
                             const State& s) {
-  CallSite snap;
-  {
-    std::lock_guard<std::mutex> lk(inter_mu_);
-    CallSite& cs = call_sites_[call_pc];
-    std::optional<int32_t> d;
-    if (s.reg(isa::kSp).vs.is_stack_rel()) d = s.reg(isa::kSp).vs.value;
-    if (!cs.seen) {
-      cs.seen = true;
-      cs.state = s;
-      cs.caller_fn = caller_fn;
-      cs.d_known = d.has_value();
-      cs.d = d.value_or(0);
-    } else {
-      cs.state = join_states(cs.state, s);
-      if (cs.d_known && (!d.has_value() || *d != cs.d)) cs.d_known = false;
-    }
-    call_pairs_[fidx].insert(call_pc);
-    snap = cs;
+  CallSite& cs = call_sites_[call_pc];
+  std::optional<int32_t> d;
+  if (s.reg(isa::kSp).vs.is_stack_rel()) d = s.reg(isa::kSp).vs.value;
+  if (!cs.seen) {
+    cs.seen = true;
+    cs.state = s;
+    cs.caller_fn = caller_fn;
+    cs.d_known = d.has_value();
+    cs.d = d.value_or(0);
+  } else {
+    cs.state = join_states(cs.state, s);
+    if (cs.d_known && (!d.has_value() || *d != cs.d)) cs.d_known = false;
   }
+  call_pairs_[fidx].insert(call_pc);
   const int eb = cfg_.block_at(cfg_.functions()[static_cast<size_t>(fidx)]
                                    .entry);
-  if (eb >= 0) flow_to(eb, make_entry(snap));
+  if (eb >= 0) flow_to(eb, make_entry(cs));
   queue_compose(call_pc, fidx);
 }
 
 void VsaEngine::capture_exit(int fidx, const State& s) {
   State e = s;
   e.stack.clear();  // caller-frame effects travel via the summary instead
-  bool changed;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(fidx));
-    FnInfo& fn = fns_[static_cast<size_t>(fidx)];
-    if (!fn.has_exit) {
-      fn.exit = std::move(e);
-      fn.has_exit = true;
-      changed = true;
-    } else {
-      State j = join_states(fn.exit, e);
-      changed = !(j == fn.exit);
-      fn.exit = std::move(j);
-    }
+  FnInfo& fn = fns_[static_cast<size_t>(fidx)];
+  if (!fn.has_exit) {
+    fn.exit = std::move(e);
+    fn.has_exit = true;
+  } else {
+    State j = join_states(fn.exit, e);
+    if (j == fn.exit) return;
+    fn.exit = std::move(j);
   }
-  if (changed) summary_changed(fidx);  // recompose every caller
+  summary_changed(fidx);  // recompose every caller
 }
 
 void VsaEngine::compose(uint32_t call_pc, int fidx) {
-  CallSite cs;
-  {
-    std::lock_guard<std::mutex> lk(inter_mu_);
-    auto csit = call_sites_.find(call_pc);
-    if (csit == call_sites_.end()) return;
-    cs = csit->second;
-  }
-  FnInfo fn;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(fidx));
-    fn = fns_[static_cast<size_t>(fidx)];
-  }
+  auto csit = call_sites_.find(call_pc);
+  if (csit == call_sites_.end()) return;
+  const CallSite& cs = csit->second;
+  // A copy: for a recursive call the summary writes below grow the callee's
+  // own summary while this loop reads it.
+  const FnInfo fn = fns_[static_cast<size_t>(fidx)];
   if (!fn.has_exit) return;  // callee (so far) never returns
 
   State r;
@@ -1499,9 +1424,6 @@ std::optional<std::vector<int>> VsaEngine::compute_inline_plan(
 }
 
 const std::vector<int>* VsaEngine::inline_plan(int fidx) {
-  // The memoized plan vector is stable once inserted (node-based map), so
-  // the returned pointer stays valid after the lock drops.
-  std::lock_guard<std::mutex> lk(inter_mu_);
   auto it = inline_plans_.find(fidx);
   if (it == inline_plans_.end()) {
     it = inline_plans_.emplace(fidx, compute_inline_plan(fidx)).first;
@@ -1604,11 +1526,7 @@ State VsaEngine::block_in(int b) const {
 
 void VsaEngine::process_block(int b) {
   const BasicBlock& bb = cfg_.blocks()[static_cast<size_t>(b)];
-  State s;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(bb.function));
-    s = block_in(b);
-  }
+  State s = block_in(b);
   bool dead = false;
   for (uint32_t pc = bb.begin; pc < bb.end; pc += 4) {
     const Instruction& inst = cfg_.inst_at(pc);
@@ -1616,7 +1534,7 @@ void VsaEngine::process_block(int b) {
     transfer(pc, inst, s, nullptr, dead, bb.function);
     if (dead) break;
   }
-  if (dead || exhausted_) return;
+  if (dead) return;
   after_block(bb, s);
 }
 
@@ -1680,115 +1598,9 @@ void VsaEngine::after_block(const BasicBlock& bb, State& s) {
   }
 }
 
-// Bottom-up priorities over the recovered call graph: iterative Tarjan pops
-// an SCC only after every SCC it can reach, so the pop order ranks callees
-// before their callers.  Purely a scheduling heuristic — the least fixpoint
-// is unique regardless — but it means a callee's exit/summary is usually
-// converged by the time a caller composes, minimizing recomposition.
-std::vector<int> callee_first_priorities(const Cfg& cfg) {
-  const auto& fns = cfg.functions();
-  const int n = static_cast<int>(fns.size());
-  std::vector<int> prio(static_cast<size_t>(n), 0);
-  std::vector<int> index(static_cast<size_t>(n), -1);
-  std::vector<int> low(static_cast<size_t>(n), 0);
-  std::vector<uint8_t> onstack(static_cast<size_t>(n), 0);
-  std::vector<int> stack;
-  int next_index = 0;
-  int next_prio = 0;
-  struct Frame {
-    int v;
-    size_t ci;
-  };
-  std::vector<Frame> dfs;
-  for (int root = 0; root < n; ++root) {
-    if (index[static_cast<size_t>(root)] != -1) continue;
-    index[static_cast<size_t>(root)] = low[static_cast<size_t>(root)] =
-        next_index++;
-    stack.push_back(root);
-    onstack[static_cast<size_t>(root)] = 1;
-    dfs.push_back({root, 0});
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      const auto& callees = fns[static_cast<size_t>(f.v)].callees;
-      if (f.ci < callees.size()) {
-        const int w = callees[f.ci++];
-        if (w < 0 || w >= n) continue;
-        if (index[static_cast<size_t>(w)] == -1) {
-          index[static_cast<size_t>(w)] = low[static_cast<size_t>(w)] =
-              next_index++;
-          stack.push_back(w);
-          onstack[static_cast<size_t>(w)] = 1;
-          dfs.push_back({w, 0});
-        } else if (onstack[static_cast<size_t>(w)] != 0) {
-          low[static_cast<size_t>(f.v)] = std::min(
-              low[static_cast<size_t>(f.v)], index[static_cast<size_t>(w)]);
-        }
-      } else {
-        if (low[static_cast<size_t>(f.v)] == index[static_cast<size_t>(f.v)]) {
-          for (;;) {
-            const int w = stack.back();
-            stack.pop_back();
-            onstack[static_cast<size_t>(w)] = 0;
-            prio[static_cast<size_t>(w)] = next_prio;
-            if (w == f.v) break;
-          }
-          ++next_prio;
-        }
-        const int v = f.v;
-        dfs.pop_back();
-        if (!dfs.empty()) {
-          low[static_cast<size_t>(dfs.back().v)] =
-              std::min(low[static_cast<size_t>(dfs.back().v)],
-                       low[static_cast<size_t>(v)]);
-        }
-      }
-    }
-  }
-  return prio;
-}
-
-void VsaEngine::worker() {
-  std::unique_lock<std::mutex> lk(wl_mu_);
-  for (;;) {
-    if (exhausted_) break;
-    if (!pq_.empty()) {
-      const int b = pq_.begin()->second;
-      pq_.erase(pq_.begin());
-      queued_[static_cast<size_t>(b)] = 0;
-      ++active_;
-      lk.unlock();
-      if (++block_runs_ > kMaxBlockRuns) exhausted_ = true;
-      else process_block(b);
-      lk.lock();
-      --active_;
-    } else if (!compose_q_.empty()) {
-      const auto [call_pc, fidx] = compose_q_.front();
-      compose_q_.pop_front();
-      compose_queued_.erase({call_pc, fidx});
-      ++active_;
-      lk.unlock();
-      compose(call_pc, fidx);
-      lk.lock();
-      --active_;
-    } else if (active_ == 0) {
-      break;  // no work anywhere and nobody can produce more
-    } else {
-      wl_cv_.wait(lk);
-      continue;
-    }
-    if (pq_.empty() && compose_q_.empty() && active_ == 0) {
-      wl_cv_.notify_all();  // wake idlers so they observe completion
-    }
-  }
-  lk.unlock();
-  wl_cv_.notify_all();  // exhaustion/abort: release everyone
-}
-
-void VsaEngine::run(int jobs) {
+void VsaEngine::run() {
   const int entry = cfg_.block_at(cfg_.program().entry);
   if (entry < 0) return;
-  parallel_ = jobs > 1;
-  if (parallel_) fn_prio_ = callee_first_priorities(cfg_);
   State boot;
   // The initial $sp is the root of stack address provenance (mirrors the
   // dynamic loader seed).
@@ -1796,17 +1608,8 @@ void VsaEngine::run(int jobs) {
                           mem::kStackAddrMask});
   flow_to(entry, boot);
 
-  if (parallel_) {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(jobs));
-    for (int i = 0; i < jobs; ++i) pool.emplace_back([this] { worker(); });
-    for (std::thread& t : pool) t.join();
-    parallel_ = false;
-    return;
-  }
-
-  while (!worklist_.empty() || !compose_q_.empty()) {
-    if (exhausted_) break;
+  // run_inline may trip the budget mid-block; stop at the next item.
+  while (!exhausted_ && (!worklist_.empty() || !compose_q_.empty())) {
     if (!worklist_.empty()) {
       const int b = worklist_.front();
       worklist_.pop_front();
@@ -2256,23 +2059,9 @@ std::string VsaAnalysis::report(const Cfg& cfg) const {
 }
 
 VsaAnalysis analyze_vsa(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                        const VsaOptions& options, int jobs) {
-  if (jobs > 1) {
-    VsaEngine engine(cfg, policy);
-    engine.run(jobs);
-    if (!engine.exhausted()) {
-      // The converged states are the unique least fixpoint, identical to
-      // the serial run's; only the visit *count* is schedule-dependent.
-      // Reset it so a near-budget collect pass degrades (or not) exactly
-      // like the jobs=1 run would.
-      engine.reset_block_runs();
-      return engine.finish(options);
-    }
-    // Exhaustion under a parallel schedule is schedule-dependent; redo
-    // serially so the canonical degraded result ships.
-  }
+                        const VsaOptions& options) {
   VsaEngine engine(cfg, policy);
-  engine.run(1);
+  engine.run();
   return engine.finish(options);
 }
 

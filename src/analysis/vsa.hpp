@@ -177,15 +177,12 @@ struct VsaOptions {
 /// Runs the prover.  `policy` selects which Table 1 special cases the
 /// *dynamic* machine will apply — the static transfer function mirrors them
 /// (an untaint rule the interpreter does not apply must not be assumed
-/// statically, and vice versa).  With `jobs` > 1 the chaotic fixpoint
-/// iterates on a thread pool, scheduled bottom-up over the call graph's SCC
-/// condensation (callees before callers, so summaries are usually ready
-/// when a caller composes); the converged states are the unique least
-/// fixpoint either way, so the result is byte-identical to the
-/// single-threaded run.  A budget-exhausted parallel run (schedule-
-/// dependent) is redone serially so the canonical degraded result ships.
+/// statically, and vice versa).  The fixpoint runs on one serial FIFO
+/// worklist on the calling thread, so the result (degraded one included,
+/// when the block-run budget is exhausted) is a pure function of the
+/// inputs.
 VsaAnalysis analyze_vsa(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                        const VsaOptions& options = {}, int jobs = 1);
+                        const VsaOptions& options = {});
 
 /// Resolves function-label names to [begin, end) text PC ranges: each
 /// function spans from its label to the next function label (or text end).

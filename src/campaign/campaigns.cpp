@@ -28,32 +28,21 @@ std::string spec_verdict(const core::SpecRunRow& row) {
   return row.ok ? "OK" : "UNEXPECTED";
 }
 
-/// Shared, copyable views of the corpora so job closures can keep them
-/// alive past the builder function's return.
-std::vector<std::shared_ptr<const core::Scenario>> shared_corpus() {
-  std::vector<std::shared_ptr<const core::Scenario>> out;
-  for (auto& s : core::make_attack_corpus()) out.push_back(std::move(s));
-  return out;
-}
-
-std::vector<std::shared_ptr<const core::SpecWorkload>> shared_workloads(
-    int scale) {
-  std::vector<std::shared_ptr<const core::SpecWorkload>> out;
-  for (auto& w : core::make_spec_workloads(scale)) {
-    out.push_back(std::make_shared<const core::SpecWorkload>(std::move(w)));
-  }
-  return out;
-}
-
-/// Process-wide memoized corpora for the per-cell entry points.  Building
-/// the attack corpus assembles every scenario's guest program (~90ms) —
-/// negligible once per batch campaign, ruinous when the serve daemon pays
-/// it on every submitted cell.  Scenarios and workloads are immutable, and
-/// batch campaigns already share them across worker threads, so one
-/// process-wide copy changes nothing semantically.
+/// Process-wide memoized corpora, shared by the matrices, the per-cell
+/// entry points and static_check.  Building the attack corpus assembles
+/// every scenario's guest program (~90ms) — ruinous when the serve daemon
+/// pays it on every submitted cell, or static_check once per payload.
+/// Scenarios and workloads are immutable and shared across worker threads
+/// (shared_ptr, so job closures keep them alive), so one process-wide copy
+/// changes nothing semantically.  The serial references build their own
+/// corpora, which keeps the oracle independent of this memo.
 const std::vector<std::shared_ptr<const core::Scenario>>& cached_corpus() {
   static const std::vector<std::shared_ptr<const core::Scenario>> corpus =
-      shared_corpus();
+      [] {
+        std::vector<std::shared_ptr<const core::Scenario>> out;
+        for (auto& s : core::make_attack_corpus()) out.push_back(std::move(s));
+        return out;
+      }();
   return corpus;
 }
 
@@ -66,7 +55,11 @@ cached_workloads(int scale) {
   std::lock_guard<std::mutex> lock(mutex);
   auto it = by_scale.find(scale);
   if (it == by_scale.end()) {
-    it = by_scale.emplace(scale, shared_workloads(scale)).first;
+    std::vector<std::shared_ptr<const core::SpecWorkload>> out;
+    for (auto& w : core::make_spec_workloads(scale)) {
+      out.push_back(std::make_shared<const core::SpecWorkload>(std::move(w)));
+    }
+    it = by_scale.emplace(scale, std::move(out)).first;
   }
   return it->second;
 }
@@ -228,14 +221,13 @@ Job fn_format_write_job(SnapshotCache& cache, bool elide,
 std::vector<Job> ablation_jobs(SnapshotCache& cache, int spec_scale,
                                bool elide,
                                std::optional<cpu::Engine> engine) {
-  const auto workloads = shared_workloads(spec_scale);
-  const auto corpus = shared_corpus();
+  const auto& workloads = cached_workloads(spec_scale);
   std::vector<Job> jobs;
   for (const PolicyVariant& v : ablation_variants()) {
     for (const auto& w : workloads) {
       jobs.push_back(spec_job(cache, w, v, elide, engine));
     }
-    for (const auto& s : corpus) {
+    for (const auto& s : cached_corpus()) {
       if (!s->expected_detected()) continue;
       jobs.push_back(attack_job(cache, s, v.name, v.policy, elide, engine));
     }
@@ -286,10 +278,9 @@ std::vector<PolicyVariant> coverage_columns() {
 
 std::vector<Job> coverage_jobs(SnapshotCache& cache, bool elide,
                                std::optional<cpu::Engine> engine) {
-  const auto corpus = shared_corpus();
   std::vector<Job> jobs;
   for (const PolicyVariant& v : coverage_columns()) {
-    for (const auto& s : corpus) {
+    for (const auto& s : cached_corpus()) {
       jobs.push_back(attack_job(cache, s, v.name, v.policy, elide, engine));
     }
   }
@@ -519,11 +510,10 @@ std::vector<CellRef> campaign_cells(const std::string& campaign,
                                     int spec_scale) {
   std::vector<CellRef> out;
   if (campaign == "ablation") {
-    const auto workloads = core::make_spec_workloads(spec_scale);
-    const auto corpus = core::make_attack_corpus();
+    const auto& workloads = cached_workloads(spec_scale);
     for (const PolicyVariant& v : ablation_variants()) {
-      for (const auto& w : workloads) out.push_back({"spec", w.name, v.name});
-      for (const auto& s : corpus) {
+      for (const auto& w : workloads) out.push_back({"spec", w->name, v.name});
+      for (const auto& s : cached_corpus()) {
         if (!s->expected_detected()) continue;
         out.push_back({"attack", s->name(), v.name});
       }
@@ -538,9 +528,8 @@ std::vector<CellRef> campaign_cells(const std::string& campaign,
     return out;
   }
   if (campaign == "coverage") {
-    const auto corpus = core::make_attack_corpus();
     for (const PolicyVariant& v : coverage_columns()) {
-      for (const auto& s : corpus) {
+      for (const auto& s : cached_corpus()) {
         out.push_back({"attack", s->name(), v.name});
       }
     }
@@ -682,16 +671,16 @@ StaticCheckReport static_check(const std::string& campaign,
     if (it != programs.end()) return it->second;
     std::unique_ptr<core::Machine> m;
     if (r.app == "spec") {
-      for (const auto& w : core::make_spec_workloads(spec_scale)) {
-        if (w.name == r.payload) {
-          m = core::prepare_spec_workload(w, {});
+      for (const auto& w : cached_workloads(spec_scale)) {
+        if (w->name == r.payload) {
+          m = core::prepare_spec_workload(*w, {});
           break;
         }
       }
     } else if (r.payload == "fn-format-write") {
       m = prepare_fn_format_write();
     } else {
-      for (const auto& s : core::make_attack_corpus()) {
+      for (const auto& s : cached_corpus()) {
         if (s->name() == r.payload) {
           m = s->prepare_attack({});
           break;

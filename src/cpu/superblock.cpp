@@ -289,15 +289,8 @@ void SuperblockEngine::on_invalidate(uint32_t addr, uint32_t len) {
 // Dispatch loop
 // ---------------------------------------------------------------------------
 
-// Computed-goto threaded dispatch on GCC/Clang; a plain switch elsewhere
-// (or with -DPTAINT_NO_COMPUTED_GOTO, which CI uses to keep the fallback
-// compiling).  Handlers are written once and shared by both forms.
-#if defined(__GNUC__) && !defined(PTAINT_NO_COMPUTED_GOTO)
-#define PTAINT_THREADED_DISPATCH 1
-#else
-#define PTAINT_THREADED_DISPATCH 0
-#endif
-
+// Computed-goto threaded dispatch (the GCC/Clang labels-as-values
+// extension; the build supports only those two compilers).
 void SuperblockEngine::exec_block(Block& blk, uint64_t budget) {
   Cpu& c = cpu_;
   mem::RegisterFile& regs = c.regs_;
@@ -308,7 +301,6 @@ void SuperblockEngine::exec_block(Block& blk, uint64_t budget) {
   const TaintPolicy& policy = c.policy_;
   const MicroOp* u = blk.uops.data();
 
-#if PTAINT_THREADED_DISPATCH
   // Order must match Kind exactly.
   static const void* const kLabels[kNumKinds] = {
       &&h_End, &&h_Lui,
@@ -330,16 +322,6 @@ void SuperblockEngine::exec_block(Block& blk, uint64_t budget) {
     goto* kLabels[u->kind];    \
   } while (0)
   goto* kLabels[u->kind];
-#else
-#define OP(name) case k##name:
-#define NEXT()                 \
-  do {                         \
-    ++u;                       \
-    goto dispatch_top;         \
-  } while (0)
-dispatch_top:
-  switch (u->kind) {
-#endif
 
   // -- block fall-off (leader boundary / size cap) --------------------------
   OP(End) {
@@ -1043,13 +1025,6 @@ dispatch_top:
     return;
   }
 
-#if !PTAINT_THREADED_DISPATCH
-    default:
-      c.pc_ = u->pc;
-      return;  // unreachable: translate() emits only known kinds
-  }
-#endif
-
   // Block exit with the machine still running: dispatch straight into the
   // successor block when it is cached (translating on a miss keeps hot
   // loops inside the chain) and fits the remaining budget.  Anything
@@ -1082,11 +1057,7 @@ chain_next: {
   cur = next;
   ++stats_.blocks_entered;
   u = cur->uops.data();
-#if PTAINT_THREADED_DISPATCH
   goto* kLabels[u->kind];
-#else
-  goto dispatch_top;
-#endif
 }
 #undef OP
 #undef NEXT

@@ -1,6 +1,6 @@
 // Tests for the process-wide analysis summary cache
-// (src/analysis/summary_cache.cpp): exact content hits, serial == parallel
-// fixpoint identity, policy keying, LRU eviction, the
+// (src/analysis/summary_cache.cpp): exact content hits, cold re-analysis
+// identity, policy keying, LRU eviction, the
 // PTAINT_ANALYSIS_CACHE=0 bypass, and concurrent lookups collapsing onto
 // one analysis.  The suite names match the CI thread sanitizer filter
 // (SummaryCache*).
@@ -174,22 +174,18 @@ TEST(SummaryCacheTest, DisabledViaEnvironmentStillComputesCorrectly) {
   EXPECT_TRUE(identical(cfg, *want, *y));
 }
 
-// ---- serial == parallel ---------------------------------------------------
+// ---- cold re-analysis identity --------------------------------------------
 
-// The parallel fixpoint (SCC-condensation schedule on a thread pool)
-// converges to the same least fixpoint as the serial worklist: every
-// surface is byte-identical across runs and pool widths, witnesses
-// included.
-TEST(SummaryCacheTest, ParallelFixpointMatchesSerialAcrossRunsAndJobs) {
+// Two cold analyses of the same program in independent caches are
+// byte-identical on every surface, witnesses included: the fixpoint is a
+// pure function of (program, policy, options).
+TEST(SummaryCacheTest, ColdReanalysisIsIdenticalAcrossRunsAndReassembly) {
   const asmgen::Program program = spec_program();
   VsaOptions opts;
   opts.witnesses = true;
-  SummaryCache serial;
-  serial.set_jobs(1);
-  SummaryCache parallel;
-  parallel.set_jobs(4);
-  const auto a = serial.analyze(program, {}, opts);
-  const auto b = parallel.analyze(program, {}, opts);
+  const auto a = SummaryCache().analyze(program, {}, opts);
+  const auto b = SummaryCache().analyze(program, {}, opts);
+  ASSERT_NE(a.get(), b.get());
   const Cfg cfg(program);
   EXPECT_TRUE(identical(cfg, *a, *b));
   // Re-assembling the identical source yields the identical result.
