@@ -79,8 +79,7 @@ std::vector<JobResult> Executor::run(const std::vector<Job>& jobs) {
   std::atomic<uint64_t> steals{0};
   std::atomic<uint64_t> retries{0};
   ForkCounters counters;
-  const WorkerConfig worker_config{config_.slice_instructions,
-                                   config_.max_retries};
+  const WorkerConfig worker_config{config_.slice_instructions};
 
   auto worker_main = [&](int me) {
     MachinePool machines;

@@ -43,10 +43,6 @@ class Executor {
     /// Instructions per run_for slice between deadline checks (~a few
     /// milliseconds of guest time per check).
     uint64_t slice_instructions = 250'000;
-    /// Bounded retries for jobs that fail in the harness (snapshot or
-    /// machine build, or classify, threw).  Guest-side faults are results,
-    /// not retries.
-    int max_retries = 1;
   };
 
   struct Stats {

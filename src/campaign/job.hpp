@@ -70,7 +70,7 @@ struct Job {
   std::chrono::milliseconds timeout{120'000};
 
   /// Treat a wall-clock timeout like a spurious harness failure and retry
-  /// it (bounded by the worker's max_retries).  Off for batch campaigns —
+  /// it (one retry, worker.cpp kMaxRetries).  Off for batch campaigns —
   /// a timeout there is a result worth reporting — but the serve daemon
   /// turns it on, where a shard briefly descheduled under load would
   /// otherwise fail a job that retries fine.  Each attempt gets the full

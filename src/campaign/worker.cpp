@@ -9,6 +9,12 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+// Retries after the first attempt, for jobs that fail in the harness
+// (snapshot or machine build, or classify, threw) — and, for jobs opting in
+// via Job::retry_on_timeout, for wall-clock timeouts.  Guest-side faults
+// are results, not retries.
+constexpr int kMaxRetries = 1;
+
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
@@ -131,7 +137,7 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
     const bool retryable =
         result.status == JobStatus::kHarnessError ||
         (result.status == JobStatus::kTimeout && job.retry_on_timeout);
-    if (!retryable || attempt > config.max_retries) {
+    if (!retryable || attempt > kMaxRetries) {
       return result;
     }
     // One bounded retry on a harness-side failure (spurious by definition:

@@ -56,10 +56,6 @@ struct ForkCounters {
 struct WorkerConfig {
   /// Instructions per run_for slice between deadline checks.
   uint64_t slice_instructions = 250'000;
-  /// Bounded retries for jobs that fail in the harness (snapshot or
-  /// machine build, or classify, threw) — and, for jobs opting in via
-  /// Job::retry_on_timeout, for wall-clock timeouts.
-  int max_retries = 1;
 };
 
 /// Runs one job to completion on the calling thread.  Every attempt starts

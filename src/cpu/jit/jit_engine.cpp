@@ -20,6 +20,7 @@
 #include "cpu/cpu.hpp"
 #include "cpu/jit/emitter.hpp"
 #include "cpu/jit/jit_runtime.hpp"
+#include "cpu/superblock_handlers.hpp"  // bodies called from emitted code
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -286,7 +287,7 @@ void JitEngine::compile(Block& blk) {
     R_ALU,      // void (Cpu*, MicroOp*, v); v is in eax at the branch
     R_LW, R_LOADOTHER, R_ADDRLW,   // status (Cpu*, MicroOp*)
     R_SW, R_SS, R_ADDRSW,          // status (Cpu*, MicroOp*, Block*)
-    R_BR, R_CMPBR, R_JR, R_JALR,   // terminator: void (Cpu*, MicroOp*)
+    R_BR, R_CMPBR, R_JR, R_JALR,   // terminator body: (Cpu&, MicroOp&)
     // Inline compare-untaint side effect (no call): clear the operands'
     // data-taint bits, bump the counters the hot-path flush can't fold
     // (they only fire on data-tainted operands), and resume the hot path.
@@ -524,10 +525,11 @@ void JitEngine::compile(Block& blk) {
       case SB::kMulDiv: {
         e.mov_r64_r64(Gp::RDI, Gp::R12);
         e.mov_r64_imm(Gp::RSI, reinterpret_cast<uint64_t>(&u));
-        e.mov_r64_imm(Gp::RAX, fn_addr(&JitRuntime::muldiv));
+        e.mov_r64_imm(Gp::RAX, fn_addr(&SB::op_muldiv));
         e.call_r64(Gp::RAX);
-        // The helper bumps alu_ops/instructions itself (no flush constants),
-        // so stop stubs after it stay exact without compensation.
+        // The shared handler body bumps alu_ops/instructions itself (no
+        // flush constants), so stop stubs after it stay exact without
+        // compensation.
         break;
       }
 
@@ -948,17 +950,18 @@ void JitEngine::compile(Block& blk) {
         break;
       }
       case R_BR: case R_CMPBR: case R_JR: case R_JALR: {
-        // Terminator slow path: flush the retired prefix, then run the full
-        // reference terminator (it bumps its own counters and sets pc_).
+        // Terminator slow path: flush the retired prefix, then call the
+        // shared handler body (it bumps its own counters and sets pc_; the
+        // jr/jalr "leave the block" result is moot, host code leaves anyway).
         emit_flush(s.flush);
         e.mov_r64_r64(Gp::RDI, Gp::R12);
         e.mov_r64_imm(Gp::RSI, reinterpret_cast<uint64_t>(s.u));
         uint64_t fn = 0;
         switch (s.recipe) {
-          case R_BR: fn = fn_addr(&JitRuntime::branch_term); break;
-          case R_CMPBR: fn = fn_addr(&JitRuntime::cmp_branch_term); break;
-          case R_JR: fn = fn_addr(&JitRuntime::jr_term); break;
-          default: fn = fn_addr(&JitRuntime::jalr_term); break;
+          case R_BR: fn = fn_addr(&SB::op_branch); break;
+          case R_CMPBR: fn = fn_addr(&SB::op_cmp_branch); break;
+          case R_JR: fn = fn_addr(&SB::op_jr); break;
+          default: fn = fn_addr(&SB::op_jalr); break;
         }
         e.mov_r64_imm(Gp::RAX, fn);
         e.call_r64(Gp::RAX);
@@ -967,7 +970,7 @@ void JitEngine::compile(Block& blk) {
       }
       case R_BR_UNTAINT: {
         // Data-tainted plain branch: validate-untaint the operands in place
-        // (branch_term), bump the counter the side flushes can't fold, and
+        // (op_branch), bump the counter the side flushes can't fold, and
         // rejoin the hot path — the compare itself is taint-independent.
         const isa::Instruction& bi = s.u->inst;
         untaint_slot(bi.rs);

@@ -13,13 +13,13 @@
 // ordering around early stops.
 //
 // Fast/slow split: each micro-op's emitted body handles the untainted,
-// memo-hit, aligned case inline and calls an out-of-line JitRuntime helper
-// (the reference handler logic) for everything else.  Counter bumps are
-// deferred: the fast paths bump nothing, each exit path adds the exact
-// compile-time counter sums for the micro-ops it retired, and mid-block
-// helpers pre-subtract their own fast-path constants before re-running the
-// reference logic, so the net effect equals the reference interpreter on
-// every path.
+// memo-hit, aligned case inline and, for everything else, calls the
+// superblock engine's handler body for that micro-op (through a JitRuntime
+// helper where counters need compensating).  Counter bumps are deferred:
+// the fast paths bump nothing, each exit path adds the exact compile-time
+// counter sums for the micro-ops it retired, and mid-block helpers
+// pre-subtract their own fast-path constants before calling the handler
+// body, so the net effect equals the reference interpreter on every path.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cpu/jit/jit_engine.hpp"
+#include "cpu/superblock_handlers.hpp"
 
 namespace ptaint::cpu {
 
@@ -548,212 +549,29 @@ void SuperblockEngine::exec_block(Block& blk, uint64_t budget) {
   ALU_CMP_I(SltuI, a.value < static_cast<uint32_t>(in.imm) ? 1 : 0)
 #undef ALU_CMP_I
 
-  // -- multiply/divide/hi-lo/taint primitives (no propagate in execute) -----
+  // -- multiply/divide, loads, stores: the shared handler bodies ------------
   OP(MulDiv) {
-    const Instruction& in = u->inst;
-    const TaintedWord a = regs.get(in.rs);
-    const TaintedWord b2 = regs.get(in.rt);
-    switch (in.op) {
-      case Op::kMult: {
-        const int64_t p =
-            static_cast<int64_t>(static_cast<int32_t>(a.value)) *
-            static_cast<int64_t>(static_cast<int32_t>(b2.value));
-        const auto t = static_cast<mem::TaintBits>(a.taint | b2.taint);
-        regs.set_lo(TaintedWord{static_cast<uint32_t>(p), t});
-        regs.set_hi(TaintedWord{static_cast<uint32_t>(p >> 32), t});
-        break;
-      }
-      case Op::kMultu: {
-        const uint64_t p = static_cast<uint64_t>(a.value) *
-                           static_cast<uint64_t>(b2.value);
-        const auto t = static_cast<mem::TaintBits>(a.taint | b2.taint);
-        regs.set_lo(TaintedWord{static_cast<uint32_t>(p), t});
-        regs.set_hi(TaintedWord{static_cast<uint32_t>(p >> 32), t});
-        break;
-      }
-      case Op::kDiv: {
-        const auto da = static_cast<int32_t>(a.value);
-        const auto db = static_cast<int32_t>(b2.value);
-        const auto t = static_cast<mem::TaintBits>(a.taint | b2.taint);
-        if (db == 0) {
-          regs.set_lo(TaintedWord{0, t});
-          regs.set_hi(TaintedWord{0, t});
-        } else {
-          regs.set_lo(TaintedWord{static_cast<uint32_t>(da / db), t});
-          regs.set_hi(TaintedWord{static_cast<uint32_t>(da % db), t});
-        }
-        break;
-      }
-      case Op::kDivu: {
-        const auto t = static_cast<mem::TaintBits>(a.taint | b2.taint);
-        if (b2.value == 0) {
-          regs.set_lo(TaintedWord{0, t});
-          regs.set_hi(TaintedWord{0, t});
-        } else {
-          regs.set_lo(TaintedWord{a.value / b2.value, t});
-          regs.set_hi(TaintedWord{a.value % b2.value, t});
-        }
-        break;
-      }
-      case Op::kMfhi: regs.set(in.rd, regs.hi()); break;
-      case Op::kMflo: regs.set(in.rd, regs.lo()); break;
-      case Op::kMthi: regs.set_hi(a); break;
-      case Op::kMtlo: regs.set_lo(a); break;
-      case Op::kTaintSet:
-        regs.set(in.rd,
-                 TaintedWord{a.value, static_cast<mem::TaintBits>(
-                                          mem::kAllTainted |
-                                          (a.taint & mem::kAddrMask))});
-        break;
-      default:  // kTaintClr
-        regs.set(in.rd, TaintedWord{a.value, mem::kUntainted});
-        break;
-    }
-    ++st.alu_ops;
-    ++st.instructions;
+    op_muldiv(c, *u);
     NEXT();
   }
 
-  // -- loads ----------------------------------------------------------------
-  // detect_pointer() is a pure predicate when the base is untainted, so
-  // gating the call on base.tainted() is observation-equivalent.
   OP(Lw) {
-    const Instruction& in = u->inst;
-    c.pc_ = u->pc;
-    const TaintedWord base = regs.get(in.rs);
-    const uint32_t ea = base.value + static_cast<uint32_t>(in.imm);
-    ++st.loads;
-    if (u->elide == 0 && base.tainted() &&
-        c.detect_pointer(in, in.rs, base, AlertKind::kTaintedLoadAddress)) {
-      return;
-    }
-    if (ea % 4 != 0) {
-      c.fault("misaligned lw");
-      return;
-    }
-    TaintedWord result = c.memory_.load_word(ea);
-    if (policy.per_word_taint) {
-      result.taint = mem::widen_planes(result.taint);
-    }
-    if (result.tainted()) ++st.tainted_loads;
-    regs.set(in.rt, result);
-    ++st.instructions;
+    if (op_lw(c, *u)) return;
     NEXT();
   }
 
   OP(LoadOther) {
-    const Instruction& in = u->inst;
-    c.pc_ = u->pc;
-    const TaintedWord base = regs.get(in.rs);
-    const uint32_t ea = base.value + static_cast<uint32_t>(in.imm);
-    ++st.loads;
-    if (u->elide == 0 && base.tainted() &&
-        c.detect_pointer(in, in.rs, base, AlertKind::kTaintedLoadAddress)) {
-      return;
-    }
-    TaintedWord result;
-    if (in.op == Op::kLh || in.op == Op::kLhu) {
-      if (ea % 2 != 0) {
-        c.fault("misaligned lh");
-        return;
-      }
-      const TaintedWord half = c.memory_.load_half(ea);
-      if (in.op == Op::kLh) {
-        result.value =
-            static_cast<uint32_t>(static_cast<int16_t>(half.value & 0xffff));
-        result.taint = mem::widen_planes(half.taint);
-      } else {
-        result = half;
-      }
-    } else {
-      const mem::TaintedByte b = c.memory_.load_byte(ea);
-      if (in.op == Op::kLb) {
-        result.value = static_cast<uint32_t>(static_cast<int8_t>(b.value));
-        result.taint = mem::widen_planes(mem::planes_to_word(b.planes, 0));
-      } else {
-        result.value = b.value;
-        result.taint = mem::planes_to_word(b.planes, 0);
-      }
-    }
-    if (policy.per_word_taint) {
-      result.taint = mem::widen_planes(result.taint);
-    }
-    if (result.tainted()) ++st.tainted_loads;
-    regs.set(in.rt, result);
-    ++st.instructions;
+    if (op_load_other(c, *u)) return;
     NEXT();
   }
 
-  // -- stores ---------------------------------------------------------------
-  // A store into text retires every overlapping block, possibly this one;
-  // the storage stays alive in the graveyard, so after retiring the guest
-  // instruction we abort the block with the next PC and re-enter through
-  // fresh translation (self-modifying code executes its current bytes).
   OP(Sw) {
-    const Instruction& in = u->inst;
-    c.pc_ = u->pc;
-    const TaintedWord base = regs.get(in.rs);
-    const TaintedWord val = regs.get(in.rt);
-    const uint32_t ea = base.value + static_cast<uint32_t>(in.imm);
-    ++st.stores;
-    if (u->elide == 0 && base.tainted() &&
-        c.detect_pointer(in, in.rs, base, AlertKind::kTaintedStoreAddress)) {
-      return;
-    }
-    const TaintedWord stored{val.value, val.taint};
-    if (c.detect_annotation(in, ea, 4, stored)) return;
-    if (val.tainted()) ++st.tainted_stores;
-    if (ea < c.text_end_ && ea + 4 > c.text_begin_) {
-      c.invalidate_decode_range(ea, 4);
-    }
-    if (ea % 4 != 0) {
-      c.fault("misaligned sw");
-      return;
-    }
-    c.memory_.store_word(ea, val);
-    ++st.instructions;
-    if (cur->retired) {
-      c.pc_ = u->pc + 4;
-      return;
-    }
+    if (op_sw(c, *u, *cur)) return;
     NEXT();
   }
 
   OP(StoreSmall) {
-    const Instruction& in = u->inst;
-    c.pc_ = u->pc;
-    const TaintedWord base = regs.get(in.rs);
-    const TaintedWord val = regs.get(in.rt);
-    const uint32_t ea = base.value + static_cast<uint32_t>(in.imm);
-    ++st.stores;
-    if (u->elide == 0 && base.tainted() &&
-        c.detect_pointer(in, in.rs, base, AlertKind::kTaintedStoreAddress)) {
-      return;
-    }
-    const uint32_t len = in.op == Op::kSh ? 2 : 1;
-    const TaintedWord stored{
-        val.value, static_cast<mem::TaintBits>(
-                       val.taint & (((1u << len) - 1) * 0x1111u))};
-    if (c.detect_annotation(in, ea, len, stored)) return;
-    if (val.tainted()) ++st.tainted_stores;
-    if (ea < c.text_end_ && ea + len > c.text_begin_) {
-      c.invalidate_decode_range(ea, len);
-    }
-    if (in.op == Op::kSh) {
-      if (ea % 2 != 0) {
-        c.fault("misaligned sh");
-        return;
-      }
-      c.memory_.store_half(ea, val);
-    } else {
-      c.memory_.store_byte(ea, {static_cast<uint8_t>(val.value),
-                                mem::byte_planes(val.taint, 0)});
-    }
-    ++st.instructions;
-    if (cur->retired) {
-      c.pc_ = u->pc + 4;
-      return;
-    }
+    if (op_store_small(c, *u, *cur)) return;
     NEXT();
   }
 
@@ -781,182 +599,23 @@ void SuperblockEngine::exec_block(Block& blk, uint64_t budget) {
   }
 
   OP(AddrLw) {
-    const Instruction& ai = u->inst;
-    const Instruction& li = u->inst2;
-    const TaintedWord a = regs.get(ai.rs);
-    const uint32_t av = a.value + static_cast<uint32_t>(ai.imm);
-    TaintedWord base;
-    if (a.taint == 0) {
-      ++tu.evaluations;
-      base = TaintedWord{av};
-      regs.set(ai.rt, base);
-    } else {
-      c.alu_write(ai, ai.rt, av, a,
-                  TaintedWord{static_cast<uint32_t>(ai.imm)}, true);
-      base = regs.get(ai.rt);  // re-read: granularity may have widened taint
-    }
-    ++st.alu_ops;
-    ++st.instructions;
-    c.pc_ = u->pc + 4;  // the load's own PC, for alerts and faults
-    const uint32_t ea = base.value + static_cast<uint32_t>(li.imm);
-    ++st.loads;
-    if (u->elide == 0 && base.tainted() &&
-        c.detect_pointer(li, li.rs, base, AlertKind::kTaintedLoadAddress)) {
-      return;
-    }
-    if (ea % 4 != 0) {
-      c.fault("misaligned lw");
-      return;
-    }
-    TaintedWord result = c.memory_.load_word(ea);
-    if (policy.per_word_taint) {
-      result.taint = mem::widen_planes(result.taint);
-    }
-    if (result.tainted()) ++st.tainted_loads;
-    regs.set(li.rt, result);
-    ++st.instructions;
+    if (op_addr_lw(c, *u)) return;
     NEXT();
   }
 
   OP(AddrSw) {
-    const Instruction& ai = u->inst;
-    const Instruction& si = u->inst2;
-    const TaintedWord a = regs.get(ai.rs);
-    const uint32_t av = a.value + static_cast<uint32_t>(ai.imm);
-    TaintedWord base;
-    if (a.taint == 0) {
-      ++tu.evaluations;
-      base = TaintedWord{av};
-      regs.set(ai.rt, base);
-    } else {
-      c.alu_write(ai, ai.rt, av, a,
-                  TaintedWord{static_cast<uint32_t>(ai.imm)}, true);
-      base = regs.get(ai.rt);
-    }
-    ++st.alu_ops;
-    ++st.instructions;
-    c.pc_ = u->pc + 4;
-    const TaintedWord val = regs.get(si.rt);
-    const uint32_t ea = base.value + static_cast<uint32_t>(si.imm);
-    ++st.stores;
-    if (u->elide == 0 && base.tainted() &&
-        c.detect_pointer(si, si.rs, base, AlertKind::kTaintedStoreAddress)) {
-      return;
-    }
-    const TaintedWord stored{val.value, val.taint};
-    if (c.detect_annotation(si, ea, 4, stored)) return;
-    if (val.tainted()) ++st.tainted_stores;
-    if (ea < c.text_end_ && ea + 4 > c.text_begin_) {
-      c.invalidate_decode_range(ea, 4);
-    }
-    if (ea % 4 != 0) {
-      c.fault("misaligned sw");
-      return;
-    }
-    c.memory_.store_word(ea, val);
-    ++st.instructions;
-    if (cur->retired) {
-      c.pc_ = u->pc + 8;
-      return;
-    }
+    if (op_addr_sw(c, *u, *cur)) return;
     NEXT();
   }
 
   // -- terminators ----------------------------------------------------------
   OP(Branch) {
-    const Instruction& in = u->inst;
-    const TaintedWord a = regs.get(in.rs);
-    const TaintedWord b2 = regs.get(in.rt);
-    ++st.branches;
-    const auto sval = static_cast<int32_t>(a.value);
-    bool taken = false;
-    switch (in.op) {
-      case Op::kBeq: taken = a.value == b2.value; break;
-      case Op::kBne: taken = a.value != b2.value; break;
-      case Op::kBlez: taken = sval <= 0; break;
-      case Op::kBgtz: taken = sval > 0; break;
-      case Op::kBltz: case Op::kBltzal: taken = sval < 0; break;
-      default: taken = sval >= 0; break;
-    }
-    if (in.op == Op::kBltzal || in.op == Op::kBgezal) {
-      regs.set(isa::kRa, TaintedWord{u->pc + 4, mem::kTextAddrMask});
-    }
-    if (policy.compare_untaints &&
-        (a.tainted() || regs.get(in.rt).tainted())) {
-      regs.untaint(in.rs);
-      if (in.op == Op::kBeq || in.op == Op::kBne) regs.untaint(in.rt);
-      ++st.compare_untaints;
-    }
-    if (taken) {
-      c.pc_ = u->pc + 4 + (static_cast<uint32_t>(in.imm) << 2);
-      ++st.taken_branches;
-    } else {
-      c.pc_ = u->pc + 4;
-    }
-    ++st.instructions;
+    op_branch(c, *u);
     goto chain_next;
   }
 
   OP(CmpBranch) {
-    const Instruction& ci = u->inst;
-    const Instruction& bi = u->inst2;
-    const TaintedWord a = regs.get(ci.rs);
-    TaintedWord b2;
-    bool b_imm = false;
-    uint8_t dest = 0;
-    uint32_t v = 0;
-    switch (ci.op) {
-      case Op::kSlt:
-        b2 = regs.get(ci.rt);
-        dest = ci.rd;
-        v = static_cast<int32_t>(a.value) < static_cast<int32_t>(b2.value)
-                ? 1
-                : 0;
-        break;
-      case Op::kSltu:
-        b2 = regs.get(ci.rt);
-        dest = ci.rd;
-        v = a.value < b2.value ? 1 : 0;
-        break;
-      case Op::kSlti:
-        b2 = TaintedWord{static_cast<uint32_t>(ci.imm)};
-        b_imm = true;
-        dest = ci.rt;
-        v = static_cast<int32_t>(a.value) < ci.imm ? 1 : 0;
-        break;
-      default:  // kSltiu
-        b2 = TaintedWord{static_cast<uint32_t>(ci.imm)};
-        b_imm = true;
-        dest = ci.rt;
-        v = a.value < static_cast<uint32_t>(ci.imm) ? 1 : 0;
-        break;
-    }
-    if ((a.taint | b2.taint) == 0) {
-      ++tu.evaluations;
-      if (policy.compare_untaints) {
-        ++tu.compare_untaints;
-        ++st.compare_untaints;
-      }
-      regs.set(dest, TaintedWord{v});
-    } else {
-      c.alu_write(ci, dest, v, a, b2, b_imm);
-    }
-    ++st.alu_ops;
-    ++st.instructions;
-    // Branch half: beq/bne dest, $zero.  The branch-side compare-untaint
-    // rule can never fire here — with the policy on the compare just left
-    // `dest` untainted, with it off the rule is gated — so only the
-    // condition and the counters remain.
-    ++st.branches;
-    const uint32_t cv = regs.get(bi.rs).value;
-    const bool taken = u->aux ? cv != 0 : cv == 0;
-    if (taken) {
-      c.pc_ = u->pc + 8 + (static_cast<uint32_t>(bi.imm) << 2);
-      ++st.taken_branches;
-    } else {
-      c.pc_ = u->pc + 8;
-    }
-    ++st.instructions;
+    op_cmp_branch(c, *u);
     goto chain_next;
   }
 
@@ -976,31 +635,12 @@ void SuperblockEngine::exec_block(Block& blk, uint64_t budget) {
   }
 
   OP(Jr) {
-    const Instruction& in = u->inst;
-    c.pc_ = u->pc;
-    const TaintedWord a = regs.get(in.rs);
-    ++st.jumps;
-    if (u->elide == 0 && a.tainted() &&
-        c.detect_pointer(in, in.rs, a, AlertKind::kTaintedJumpTarget)) {
-      return;
-    }
-    ++st.instructions;
-    c.pc_ = a.value;
+    if (op_jr(c, *u)) return;
     goto chain_next;
   }
 
   OP(Jalr) {
-    const Instruction& in = u->inst;
-    c.pc_ = u->pc;
-    const TaintedWord a = regs.get(in.rs);
-    ++st.jumps;
-    if (u->elide == 0 && a.tainted() &&
-        c.detect_pointer(in, in.rs, a, AlertKind::kTaintedJumpTarget)) {
-      return;
-    }
-    regs.set(in.rd, TaintedWord{u->pc + 4, mem::kTextAddrMask});
-    ++st.instructions;
-    c.pc_ = a.value;
+    if (op_jalr(c, *u)) return;
     goto chain_next;
   }
 

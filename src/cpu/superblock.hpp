@@ -72,7 +72,7 @@ class SuperblockEngine {
 
  private:
   friend class JitEngine;   // compiles Block micro-op arrays to host code
-  friend struct JitRuntime; // slow-path helpers re-enter the handler logic
+  friend struct JitRuntime; // slow-path helpers call the handler bodies
   /// Micro-op kinds.  Order must match the dispatch table in exec_block.
   enum Kind : uint8_t {
     kEnd,  // fall off the block (CFG leader / size cap): set pc, exit
@@ -122,6 +122,32 @@ class SuperblockEngine {
     uint8_t no_jit = 0;
     std::vector<MicroOp> uops;
   };
+
+  // Handler bodies shared by exec_block and the JIT's slow paths, defined
+  // in superblock_handlers.hpp.  The bool ones return "leave the block"
+  // (machine stopped, or a store retired `blk`), with pc_ final.
+#define PTAINT_HANDLER [[gnu::always_inline]] static inline
+  PTAINT_HANDLER bool lw_access(Cpu& c, const MicroOp& u,
+                                const isa::Instruction& in,
+                                mem::TaintedWord base);
+  PTAINT_HANDLER bool sw_access(Cpu& c, const MicroOp& u,
+                                const isa::Instruction& in,
+                                mem::TaintedWord base, const Block& blk,
+                                uint32_t next_pc);
+  PTAINT_HANDLER bool op_lw(Cpu& c, const MicroOp& u);
+  PTAINT_HANDLER bool op_load_other(Cpu& c, const MicroOp& u);
+  PTAINT_HANDLER bool op_sw(Cpu& c, const MicroOp& u, const Block& blk);
+  PTAINT_HANDLER bool op_store_small(Cpu& c, const MicroOp& u,
+                                     const Block& blk);
+  PTAINT_HANDLER mem::TaintedWord addr_gen(Cpu& c, const MicroOp& u);
+  PTAINT_HANDLER bool op_addr_lw(Cpu& c, const MicroOp& u);
+  PTAINT_HANDLER bool op_addr_sw(Cpu& c, const MicroOp& u, const Block& blk);
+  PTAINT_HANDLER void op_muldiv(Cpu& c, const MicroOp& u);
+  PTAINT_HANDLER void op_branch(Cpu& c, const MicroOp& u);
+  PTAINT_HANDLER void op_cmp_branch(Cpu& c, const MicroOp& u);
+  PTAINT_HANDLER bool op_jr(Cpu& c, const MicroOp& u);
+  PTAINT_HANDLER bool op_jalr(Cpu& c, const MicroOp& u);
+#undef PTAINT_HANDLER
 
   Block* translate(uint32_t pc, uint32_t idx);
   /// Executes `blk` and then chains: block-exit handlers dispatch straight

@@ -222,7 +222,11 @@ double JsonValue::as_number() const {
 
 uint64_t JsonValue::as_u64() const {
   const double d = as_number();
-  if (d < 0 || d != std::floor(d)) throw JsonError("not a u64");
+  // Casting a double outside [0, 2^64) is undefined: reject overflowing
+  // values (1e30), inf (1e400) and NaN here, as well as fractions.
+  if (!(d >= 0 && d < 0x1p64) || d != std::floor(d)) {
+    throw JsonError("not a u64");
+  }
   return static_cast<uint64_t>(d);
 }
 

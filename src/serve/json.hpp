@@ -40,7 +40,9 @@ class JsonValue {
   /// Typed accessors; throw JsonError on a kind mismatch.
   bool as_bool() const;
   double as_number() const;
-  uint64_t as_u64() const;  // number, rejected if negative or fractional
+  /// Number, rejected (JsonError) if negative, fractional, non-finite or
+  /// >= 2^64.
+  uint64_t as_u64() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
 

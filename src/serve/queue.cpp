@@ -60,6 +60,10 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
   if (spec.app.empty() || spec.payload.empty()) {
     throw std::invalid_argument("job spec needs \"app\" and \"payload\"");
   }
+  if (spec.timeout_ms > kMaxTimeoutMs) {
+    throw std::invalid_argument("timeout_ms above " +
+                                std::to_string(kMaxTimeoutMs));
+  }
   if (spec.tenant.empty()) spec.tenant = "default";
   return spec;
 }

@@ -42,9 +42,15 @@ struct JobSpec {
   uint64_t max_instructions = 0;     // 0 = job-kind default
   uint64_t timeout_ms = 0;           // 0 = daemon default
 
+  /// Largest accepted timeout_ms (one day).  run_job adds the deadline to
+  /// a steady_clock time point in nanoseconds; an unbounded value would
+  /// overflow that and wrap the deadline into the past.
+  static constexpr uint64_t kMaxTimeoutMs = 24ull * 60 * 60 * 1000;
+
   /// One-line JSON object, parseable by from_json (journal `spec` field).
   std::string to_json() const;
-  /// Throws JsonError / std::invalid_argument on missing or bad fields.
+  /// Throws JsonError / std::invalid_argument on missing or bad fields
+  /// (including a timeout_ms above kMaxTimeoutMs).
   static JobSpec from_json(const class JsonValue& v);
 };
 

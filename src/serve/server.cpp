@@ -335,8 +335,7 @@ campaign::Job ServeDaemon::build_job(const JobSpec& spec) {
 
 void ServeDaemon::worker_main() {
   campaign::MachinePool machines;
-  const campaign::WorkerConfig worker_config{config_.slice_instructions,
-                                             /*max_retries=*/1};
+  const campaign::WorkerConfig worker_config{config_.slice_instructions};
   while (auto acquired = queue_->acquire()) {
     campaign::JobResult result;
     try {

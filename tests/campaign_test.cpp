@@ -184,7 +184,7 @@ TEST(Executor, GivesUpAfterBoundedRetries) {
   job.get_snapshot = []() -> std::shared_ptr<const core::MachineSnapshot> {
     throw std::runtime_error("always broken");
   };
-  Executor executor;  // max_retries = 1
+  Executor executor;  // one retry (kMaxRetries)
   const std::vector<JobResult> results = executor.run({job});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, JobStatus::kHarnessError);

@@ -58,6 +58,15 @@ TEST(ServeJson, U64RejectsNegativeAndFractional) {
   EXPECT_THROW(JsonValue::parse("-3").as_u64(), JsonError);
   EXPECT_THROW(JsonValue::parse("1.5").as_u64(), JsonError);
   EXPECT_EQ(JsonValue::parse("42").as_u64(), 42u);
+  // Out of uint64_t range: casting these would be undefined behaviour.
+  EXPECT_THROW(JsonValue::parse("1e30").as_u64(), JsonError);
+  EXPECT_THROW(JsonValue::parse("1e400").as_u64(), JsonError);  // inf
+  EXPECT_THROW(JsonValue::parse("18446744073709551616").as_u64(), JsonError);
+  EXPECT_THROW(JsonValue::parse("{\"max_instructions\": 1e30}")
+                   .get_u64("max_instructions"),
+               JsonError);
+  EXPECT_EQ(JsonValue::parse("9007199254740992").as_u64(),
+            9007199254740992u);  // 2^53, exact in a double
 }
 
 TEST(ServeJson, GetHelpersFallBack) {
@@ -101,6 +110,20 @@ TEST(ServeSpec, RequiresAppAndPayload) {
   EXPECT_THROW(
       JobSpec::from_json(JsonValue::parse("{\"payload\": \"exp1\"}")),
       std::invalid_argument);
+}
+
+TEST(ServeSpec, RejectsOutOfRangeTimeout) {
+  // run_job turns the timeout into a nanosecond deadline; 10^13 ms would
+  // overflow it, so decoding must refuse it (the submit gets an error).
+  EXPECT_THROW(JobSpec::from_json(JsonValue::parse(
+                   R"({"app": "attack", "payload": "exp1-stack-smash",
+                       "timeout_ms": 10000000000000})")),
+               std::invalid_argument);
+  const std::string at_bound =
+      R"({"app": "attack", "payload": "exp1-stack-smash", "timeout_ms": )" +
+      std::to_string(JobSpec::kMaxTimeoutMs) + "}";
+  EXPECT_EQ(JobSpec::from_json(JsonValue::parse(at_bound)).timeout_ms,
+            JobSpec::kMaxTimeoutMs);
 }
 
 // ------------------------------------------------------------ JobQueue --
@@ -318,7 +341,7 @@ TEST(ServeWorkerRetry, TimeoutRetriesAndReportsSuccessfulAttemptOnly) {
 
   campaign::MachinePool pool;
   campaign::ForkCounters counters;
-  const campaign::WorkerConfig config{10'000, /*max_retries=*/1};
+  const campaign::WorkerConfig config{10'000};
   const campaign::JobResult result =
       campaign::run_job(job, 0, config, pool, counters);
 
@@ -343,7 +366,7 @@ TEST(ServeWorkerRetry, TimeoutIsFinalWithoutOptIn) {
 
   campaign::MachinePool pool;
   campaign::ForkCounters counters;
-  const campaign::WorkerConfig config{10'000, 1};
+  const campaign::WorkerConfig config{10'000};
   const campaign::JobResult result =
       campaign::run_job(job, 0, config, pool, counters);
 

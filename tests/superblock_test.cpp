@@ -366,6 +366,160 @@ TEST(Superblock, RunForBudgetIsExactMidBlock) {
 }
 
 // ---------------------------------------------------------------------------
+// Slow exits from compiled code.  Each program runs a loop long enough for
+// the jit to compile its body (heat accrues once per trampoline entry, and
+// an interpreted slice runs up to 1024 guest instructions), then takes one
+// slow exit on the last iteration.  The body sees the iteration's word
+// tab[i] in $t1: `fill` leaves the value of every entry but the last in
+// $t5, `last` leaves the last entry's.  $s2 points at a scratch cell and the
+// guest exits with $s7.
+
+constexpr int kHotIters = 4000;
+
+std::string hot_loop_source(const std::string& fill, const std::string& last,
+                            const std::string& body) {
+  return R"(
+      .data
+      .align 2
+  tab:  .space )" + std::to_string(4 * kHotIters) + R"(
+  cell: .space 16
+      .text
+  _start:
+      la $s1, tab
+      la $s2, cell
+      li $t9, )" + std::to_string(kHotIters) + "\n" + fill + R"(
+      li $t0, 0
+      addu $t6, $s1, $zero
+  init:
+      sw $t5, 0($t6)
+      addiu $t6, $t6, 4
+      addiu $t0, $t0, 1
+      bne $t0, $t9, init
+)" + last + R"(
+      sw $t5, -4($t6)
+      li $t0, 0
+  loop:
+      lw $t1, 0($s1)
+      addiu $s1, $s1, 4
+)" + body + R"(
+      addiu $t0, $t0, 1
+      bne $t0, $t9, loop
+      addu $a0, $s7, $zero
+      li $v0, 1
+      syscall
+)";
+}
+
+/// Runs `source` on every engine, checks that all three fingerprints agree
+/// and that the jit ran compiled host code, and returns the step report.
+RunReport run_hot_loop(const std::string& source) {
+  RunReport reference;
+  std::string prints[kNumEngines];
+  for (int e = 0; e < kNumEngines; ++e) {
+    ScopedEngine pin(kAllEngines[e]);
+    Machine m;
+    m.load_source(source);
+    RunReport r = m.run();
+    prints[e] = fingerprint(m, r);
+    if (e == 0) reference = r;
+    if (std::string(kAllEngines[e]) == "jit" && cpu::JitEngine::supported()) {
+      EXPECT_GT(m.cpu().jit_stats().host_entries, 0u);
+    }
+  }
+  for (int e = 1; e < kNumEngines; ++e) {
+    EXPECT_EQ(prints[0], prints[e]) << kAllEngines[e] << " divergence";
+  }
+  return reference;
+}
+
+/// Loop whose body faults on a misaligned access on the last iteration:
+/// $t2 = cell + tab[i], with tab[last] = `offset`.
+RunReport run_misaligned(const std::string& access, int offset) {
+  return run_hot_loop(hot_loop_source(
+      "      li $t5, 0\n",
+      "      li $t5, " + std::to_string(offset) + "\n",
+      "      addu $t2, $s2, $t1\n      " + access + "\n"));
+}
+
+TEST(Superblock, JitSlowExitMisalignedLw) {
+  const RunReport r = run_misaligned("lw $t3, 0($t2)", 2);
+  EXPECT_EQ(r.stop, cpu::StopReason::kFault);
+  EXPECT_NE(r.fault.find("misaligned lw"), std::string::npos) << r.fault;
+}
+
+TEST(Superblock, JitSlowExitMisalignedLh) {
+  const RunReport r = run_misaligned("lh $t3, 0($t2)", 1);
+  EXPECT_EQ(r.stop, cpu::StopReason::kFault);
+  EXPECT_NE(r.fault.find("misaligned lh"), std::string::npos) << r.fault;
+}
+
+TEST(Superblock, JitSlowExitMisalignedSw) {
+  const RunReport r = run_misaligned("sw $t0, 0($t2)", 2);
+  EXPECT_EQ(r.stop, cpu::StopReason::kFault);
+  EXPECT_NE(r.fault.find("misaligned sw"), std::string::npos) << r.fault;
+}
+
+TEST(Superblock, JitSlowExitMisalignedSh) {
+  const RunReport r = run_misaligned("sh $t0, 0($t2)", 1);
+  EXPECT_EQ(r.stop, cpu::StopReason::kFault);
+  EXPECT_NE(r.fault.find("misaligned sh"), std::string::npos) << r.fault;
+}
+
+/// Loop whose fused addiu+`access` pair gets a tainted base on the last
+/// iteration: tab[last] is a data-tainted zero added to the cell address.
+RunReport run_tainted_fused(const std::string& access) {
+  return run_hot_loop(hot_loop_source(
+      "      li $t5, 0\n", "      taintset $t5, $zero\n",
+      "      addu $t1, $s2, $t1\n"
+      "      addiu $t2, $t1, 4\n"
+      "      " + access + "\n"));
+}
+
+TEST(Superblock, JitSlowExitTaintedBaseInFusedAddiuLw) {
+  const RunReport r = run_tainted_fused("lw $t3, 0($t2)");
+  ASSERT_TRUE(r.detected());
+  EXPECT_EQ(r.alert->kind, cpu::AlertKind::kTaintedLoadAddress);
+}
+
+TEST(Superblock, JitSlowExitTaintedBaseInFusedAddiuSw) {
+  const RunReport r = run_tainted_fused("sw $t0, 0($t2)");
+  ASSERT_TRUE(r.detected());
+  EXPECT_EQ(r.alert->kind, cpu::AlertKind::kTaintedStoreAddress);
+}
+
+TEST(Superblock, JitSlowExitFusedAddiuSwRetiresOwnBlock) {
+  // Every iteration stores the encoding of `addiu $s7, $s7, 2` through a
+  // fused addiu+sw: into the scratch cell, except on the last iteration,
+  // where it overwrites the block's own next instruction (loop + 16).  The
+  // store retires the executing block, execution resumes at pc+8 through
+  // fresh translation, and the patched increment runs once.
+  isa::Instruction add2;
+  add2.op = isa::Op::kAddiu;
+  add2.rt = isa::kS7;
+  add2.rs = isa::kS7;
+  add2.imm = 2;
+  const RunReport r = run_hot_loop(hot_loop_source(
+      "      la $t5, cell\n      li $s3, " +
+          std::to_string(isa::encode(add2)) + "\n",
+      "      la $t5, loop\n      addiu $t5, $t5, 16\n",
+      "      addiu $t2, $t1, 0\n"
+      "      sw $s3, 0($t2)\n"
+      "      addiu $s7, $s7, 1\n"));
+  EXPECT_EQ(r.stop, cpu::StopReason::kExit);
+  EXPECT_EQ(r.exit_status, kHotIters + 1);  // a stale block would add 1
+}
+
+TEST(Superblock, JitSlowExitTaintedJr) {
+  const RunReport r = run_hot_loop(hot_loop_source(
+      "      li $t5, 0\n      la $s4, cont\n", "      taintset $t5, $zero\n",
+      "      addu $t2, $s4, $t1\n"
+      "      jr $t2\n"
+      "  cont:\n"));
+  ASSERT_TRUE(r.detected());
+  EXPECT_EQ(r.alert->kind, cpu::AlertKind::kTaintedJumpTarget);
+}
+
+// ---------------------------------------------------------------------------
 // Unsupported-host fallback: requesting the jit on a host that cannot run
 // emitted code must silently select the superblock engine (after a one-line
 // warning) with identical results.  PTAINT_JIT_FORCE_UNSUPPORTED simulates

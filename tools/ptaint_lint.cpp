@@ -15,14 +15,12 @@
 //   1  lint findings reported
 //   4  usage or assembly error
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -103,7 +101,7 @@ void print_json(const asmgen::Program& program,
 [[noreturn]] void usage() {
   std::cerr << "usage: ptaint-lint [options] program.s [more.s ...]\n"
                "       ptaint-lint --app NAME\n"
-               "       ptaint-lint --all-apps [--jobs N]\n"
+               "       ptaint-lint --all-apps\n"
                "run ptaint-lint --help for the option list\n";
   std::exit(4);
 }
@@ -116,45 +114,23 @@ size_t error_count(const std::vector<analysis::LintFinding>& findings) {
   return n;
 }
 
-/// Parallel sweep over every registry app: assemble, recover, lint on
-/// `jobs` threads.  Output is emitted in registry order whatever the
-/// schedule, so the sweep's stdout is deterministic.
-int lint_all_apps(int jobs, bool quiet) {
+/// Sweep over every registry app in registry order: assemble, recover,
+/// lint, and report each app's findings.
+int lint_all_apps(bool quiet) {
   const auto& registry = guest::apps::registry();
-  struct Row {
-    std::string report;
-    size_t findings = 0;
-    size_t info = 0;
-  };
-  std::vector<Row> rows(registry.size());
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const size_t i = next.fetch_add(1);
-      if (i >= registry.size()) return;
-      const asmgen::Program program =
-          asmgen::assemble(guest::link_with_runtime(registry[i].make()));
-      const analysis::Cfg cfg(program);
-      const std::vector<analysis::LintFinding> findings =
-          analysis::run_lints(cfg);
-      rows[i].report = analysis::format_findings(findings);
-      rows[i].findings = error_count(findings);
-      rows[i].info = findings.size() - rows[i].findings;
-    }
-  };
-  const int n = std::max(1, std::min<int>(jobs, static_cast<int>(registry.size())));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(n));
-  for (int t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-
   size_t total = 0;
-  for (size_t i = 0; i < registry.size(); ++i) {
-    total += rows[i].findings;
+  for (const auto& app : registry) {
+    const asmgen::Program program =
+        asmgen::assemble(guest::link_with_runtime(app.make()));
+    const analysis::Cfg cfg(program);
+    const std::vector<analysis::LintFinding> findings =
+        analysis::run_lints(cfg);
+    const size_t errors = error_count(findings);
+    total += errors;
     if (!quiet) {
-      std::printf("%s: %zu finding(s), %zu info\n", registry[i].name,
-                  rows[i].findings, rows[i].info);
-      std::fputs(rows[i].report.c_str(), stdout);
+      std::printf("%s: %zu finding(s), %zu info\n", app.name, errors,
+                  findings.size() - errors);
+      std::fputs(analysis::format_findings(findings).c_str(), stdout);
     }
   }
   std::fprintf(stderr, "%zu finding(s) across %zu apps\n", total,
@@ -173,7 +149,6 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool json = false;
   bool all_apps = false;
-  int jobs = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -186,8 +161,6 @@ int main(int argc, char** argv) {
 usage: ptaint-lint [options] program.s [more.s ...]
   --app NAME            lint a built-in guest app (exp1, wu-ftpd, ...)
   --all-apps            lint every built-in app (the CI sweep in one run)
-  --jobs N              with --all-apps, lint on N threads (deterministic
-                        output order regardless of schedule)
   --list-apps           print the known app names, one per line, and exit
   --no-runtime          do not link the guest runtime
   --taint-report        print statically-possible tainted dereference sites
@@ -203,9 +176,6 @@ exit codes: 0 no findings, 1 findings, 4 usage or assembly error
       sources.push_back(app_source(value()));
     } else if (arg == "--all-apps") {
       all_apps = true;
-    } else if (arg == "--jobs") {
-      jobs = std::atoi(value().c_str());
-      if (jobs < 1) jobs = 1;
     } else if (arg == "--list-apps") {
       for (const auto& e : guest::apps::registry()) {
         std::printf("%s\n", e.name);
@@ -230,7 +200,7 @@ exit codes: 0 no findings, 1 findings, 4 usage or assembly error
       sources.push_back({arg, read_file(arg)});
     }
   }
-  if (all_apps) return lint_all_apps(jobs, quiet);
+  if (all_apps) return lint_all_apps(quiet);
   if (sources.empty()) usage();
 
   std::vector<asmgen::Source> units;
