@@ -134,11 +134,6 @@ double run_campaign(const std::string& name, bool no_cow,
                     std::vector<campaign::JobResult>& out,
                     const campaign::StoreOptions* store = nullptr,
                     campaign::SnapshotCache::Stats* store_stats = nullptr) {
-  if (no_cow) {
-    ::setenv("PTAINT_NO_COW", "1", 1);
-  } else {
-    ::unsetenv("PTAINT_NO_COW");
-  }
   campaign::SnapshotCache cache(store ? *store
                                       : campaign::StoreOptions::from_env());
   double s = 0.0;
@@ -146,15 +141,24 @@ double run_campaign(const std::string& name, bool no_cow,
     campaign::Executor::Config config;
     config.workers = 4;
     campaign::Executor executor(config);
-    const std::vector<campaign::Job> jobs =
+    std::vector<campaign::Job> jobs =
         campaign::make_jobs(name, cache, /*spec_scale=*/1, /*elide=*/false,
                             engine);
+    // Every forked machine runs the leg's memory mode, whatever
+    // PTAINT_NO_COW says.  The cache's snapshot-building machines follow
+    // the environment; a fork restores their snapshot in its own mode.
+    for (campaign::Job& job : jobs) {
+      job.make_config = [make = std::move(job.make_config), no_cow]() {
+        core::MachineConfig cfg = make();
+        cfg.no_cow = no_cow;
+        return cfg;
+      };
+    }
     const auto t0 = Clock::now();
     out = executor.run(jobs);
     s = seconds_since(t0);
   }
   if (store_stats) *store_stats = cache.stats();
-  ::unsetenv("PTAINT_NO_COW");
   return s;
 }
 
@@ -186,15 +190,6 @@ bool pages_identical(const mem::TaintedMemory& a,
     }
   }
   return true;
-}
-
-std::string engine_name(cpu::Engine e) {
-  switch (e) {
-    case cpu::Engine::kStep: return "step";
-    case cpu::Engine::kSuperblock: return "superblock";
-    case cpu::Engine::kJit: return "jit";
-  }
-  return "?";
 }
 
 constexpr cpu::Engine kAllEngines[] = {
@@ -256,7 +251,7 @@ bool check_store_identity(const SpecWorkload& w) {
       if (report_fingerprint(m.report()) != reference[e]) {
         std::fprintf(stderr, "%s: %s-tier restore diverges on %s\n",
                      w.name.c_str(), tier,
-                     engine_name(kAllEngines[e]).c_str());
+                     cpu::to_string(kAllEngines[e]));
         ok = false;
       }
     }
@@ -272,7 +267,6 @@ bool check_store_identity(const SpecWorkload& w) {
 }
 
 int run_check() {
-  ::unsetenv("PTAINT_NO_COW");
   bool ok = true;
   for (const auto& w : make_spec_workloads(1)) {
     {
@@ -295,7 +289,7 @@ int run_check() {
           campaign::diff_verdicts(results, reference);
       if (!diffs.empty()) {
         std::fprintf(stderr, "coverage (%s, %s) diverges:\n",
-                     engine == cpu::Engine::kStep ? "step" : "superblock",
+                     cpu::to_string(engine),
                      no_cow ? "full-copy" : "cow");
         for (const std::string& d : diffs) {
           std::fprintf(stderr, "  %s\n", d.c_str());
@@ -321,7 +315,7 @@ int run_check() {
         campaign::diff_verdicts(results, reference);
     if (!diffs.empty()) {
       std::fprintf(stderr, "coverage (%s, store-backed) diverges:\n",
-                   engine_name(engine).c_str());
+                   cpu::to_string(engine));
       for (const std::string& d : diffs) {
         std::fprintf(stderr, "  %s\n", d.c_str());
       }
@@ -349,7 +343,6 @@ int main(int argc, char** argv) {
   const int scale = argc > 1 ? std::atoi(argv[1]) : 1;
   const std::string json_path = argc > 2 ? argv[2] : "BENCH_snapshot.json";
   constexpr int kReps = 3;
-  ::unsetenv("PTAINT_NO_COW");
 
   std::printf(
       "== Snapshot restore throughput: COW delta vs full copy (scale %d) "

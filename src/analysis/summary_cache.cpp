@@ -2,13 +2,13 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <list>
 #include <map>
 #include <mutex>
 #include <set>
 
 #include "analysis/cfg.hpp"
+#include "cpu/env.hpp"
 
 namespace ptaint::analysis {
 
@@ -149,10 +149,7 @@ SummaryCache& SummaryCache::instance() {
   return cache;
 }
 
-bool SummaryCache::enabled() {
-  const char* v = std::getenv("PTAINT_ANALYSIS_CACHE");
-  return v == nullptr || std::string(v) != "0";
-}
+bool SummaryCache::enabled() { return cpu::env().analysis_cache; }
 
 CacheStats SummaryCache::stats() const {
   std::lock_guard<std::mutex> lk(impl_->mu);

@@ -71,8 +71,9 @@ class SummaryCache {
 
   void set_capacity(size_t cap);
 
-  /// PTAINT_ANALYSIS_CACHE != "0" (memoization on).  When off, analyze()
-  /// still computes and returns the same result object, uncached.
+  /// cpu::env().analysis_cache: memoization on unless
+  /// PTAINT_ANALYSIS_CACHE=0.  When off, analyze() still computes and
+  /// returns the same result object, uncached.
   static bool enabled();
 
  private:

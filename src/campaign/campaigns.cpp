@@ -1,7 +1,6 @@
 #include "campaign/campaigns.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,80 +63,43 @@ cached_workloads(int scale) {
   return it->second;
 }
 
-/// Machine config for a fork of a shared snapshot under `policy`.  The
-/// snapshot holds the armed pre-run state (policy-independent — taint bits
-/// are data); the fork's own config carries the detection policy for this
-/// job.  With `elide`, restore() runs the static analyzer and installs the
-/// check-elision bitmap for the fork's policy.
-core::MachineConfig fork_config(const cpu::TaintPolicy& policy,
-                                uint64_t max_instructions, bool elide,
-                                std::optional<cpu::Engine> engine) {
-  core::MachineConfig cfg;
-  cfg.policy = policy;
-  cfg.max_instructions = max_instructions;
-  cfg.static_elision = elide;
-  cfg.engine = engine;
-  return cfg;
-}
-
-/// Machine-pool key: everything fork_config() puts in the MachineConfig,
-/// and nothing else.  Deliberately snapshot-independent — a kept machine
-/// restores *any* snapshot (a COW page share plus CPU state reset; a delta
-/// restore when the base happens to match), so the matrices' policy-major
+/// A job forking a shared snapshot.  The snapshot holds the armed pre-run
+/// state (policy-independent — taint bits are data); the fork's config
+/// carries the job's policy, budget, elision and engine.  The machine-pool
+/// key names exactly that config: a kept machine restores *any* snapshot
+/// (a COW page share plus CPU state reset), so the matrices' policy-major
 /// rows let one machine per worker serve a whole row of boots.
-std::string machine_key(const std::string& policy_name, uint64_t budget,
-                        bool elide, std::optional<cpu::Engine> engine) {
-  std::string key = policy_name + "|b" + std::to_string(budget);
-  if (elide) key += "|elide";
-  if (engine) {
-    switch (*engine) {
-      case cpu::Engine::kStep: key += "|step"; break;
-      case cpu::Engine::kSuperblock: key += "|superblock"; break;
-      case cpu::Engine::kJit: key += "|jit"; break;
-    }
-  }
-  return key;
+Job fork_job(std::string app, std::string payload,
+             const std::string& policy_name, const cpu::TaintPolicy& policy,
+             uint64_t budget, bool elide, std::optional<cpu::Engine> engine) {
+  Job job;
+  job.app = std::move(app);
+  job.payload = std::move(payload);
+  job.policy = policy_name;
+  job.max_instructions = budget;
+  job.machine_key = policy_name + "|b" + std::to_string(budget);
+  if (elide) job.machine_key += "|elide";
+  if (engine) job.machine_key += std::string("|") + cpu::to_string(*engine);
+  job.make_config = [policy, budget, elide, engine]() {
+    core::MachineConfig cfg;
+    cfg.policy = policy;
+    cfg.max_instructions = budget;
+    cfg.static_elision = elide;
+    cfg.engine = engine;
+    return cfg;
+  };
+  return job;
 }
-
-/// Pins PTAINT_ENGINE for a scope (serial reference runs); restores the
-/// previous value on destruction.
-class ScopedEngineEnv {
- public:
-  explicit ScopedEngineEnv(const char* value) {
-    if (const char* old = std::getenv("PTAINT_ENGINE")) saved_ = old;
-    ::setenv("PTAINT_ENGINE", value, /*overwrite=*/1);
-  }
-  ~ScopedEngineEnv() {
-    if (saved_) {
-      ::setenv("PTAINT_ENGINE", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("PTAINT_ENGINE");
-    }
-  }
-  ScopedEngineEnv(const ScopedEngineEnv&) = delete;
-  ScopedEngineEnv& operator=(const ScopedEngineEnv&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
 
 Job spec_job(SnapshotCache& cache,
              const std::shared_ptr<const core::SpecWorkload>& w,
              const PolicyVariant& variant, bool elide,
              std::optional<cpu::Engine> engine) {
-  Job job;
-  job.app = "spec";
-  job.payload = w->name;
-  job.policy = variant.name;
-  job.max_instructions = kSpecBudget;
-  const cpu::TaintPolicy policy = variant.policy;
-  job.machine_key = machine_key(variant.name, kSpecBudget, elide, engine);
-  job.make_config = [policy, elide, engine]() {
-    return fork_config(policy, kSpecBudget, elide, engine);
-  };
-  job.get_snapshot = [&cache, w]() {
-    return cache.get("spec:" + w->name, [&w]() {
-      return core::prepare_spec_workload(*w, {})->snapshot();
+  Job job = fork_job("spec", w->name, variant.name, variant.policy,
+                     kSpecBudget, elide, engine);
+  job.get_snapshot = [&cache, w, engine]() {
+    return cache.get("spec:" + w->name, [&w, engine]() {
+      return core::prepare_spec_workload(*w, {}, engine)->snapshot();
     });
   };
   job.classify = [w](core::Machine& m, const core::RunReport& report,
@@ -154,21 +116,13 @@ Job attack_job(SnapshotCache& cache,
                const std::string& policy_name,
                const cpu::TaintPolicy& policy, bool elide,
                std::optional<cpu::Engine> engine) {
-  Job job;
-  job.app = "attack";
-  job.payload = s->name();
-  job.policy = policy_name;
-  job.max_instructions = s->max_instructions();
-  const uint64_t budget = s->max_instructions();
-  job.machine_key = machine_key(policy_name, budget, elide, engine);
-  job.make_config = [policy, budget, elide, engine]() {
-    return fork_config(policy, budget, elide, engine);
-  };
-  job.get_snapshot = [&cache, s]() {
-    return cache.get("attack:" + s->name(), [&s]() {
+  Job job = fork_job("attack", s->name(), policy_name, policy,
+                     s->max_instructions(), elide, engine);
+  job.get_snapshot = [&cache, s, engine]() {
+    return cache.get("attack:" + s->name(), [&s, engine]() {
       // Arm under the default policy: the pre-run state is identical for
       // every variant, so one snapshot serves the whole policy column.
-      return s->prepare_attack({})->snapshot();
+      return s->prepare_attack({}, engine)->snapshot();
     });
   };
   job.classify = [s](core::Machine& m, const core::RunReport& report,
@@ -182,8 +136,10 @@ Job attack_job(SnapshotCache& cache,
 
 /// The Table 4 contrast case: the WRITE (%n) variant of the format-string
 /// leak, expected to be *caught* by the pointer-taintedness detector.
-std::unique_ptr<core::Machine> prepare_fn_format_write() {
+std::unique_ptr<core::Machine> prepare_fn_format_write(
+    std::optional<cpu::Engine> engine) {
   core::MachineConfig cfg;
+  cfg.engine = engine;
   auto m = std::make_unique<core::Machine>(cfg);
   m->load_sources(guest::link_with_runtime(guest::apps::fn_format_leak()));
   m->os().net().add_session({"abcd%x%x%x%x%n"});
@@ -198,18 +154,12 @@ void classify_fn_format_write(const core::RunReport& report, JobResult& out) {
 
 Job fn_format_write_job(SnapshotCache& cache, bool elide,
                         std::optional<cpu::Engine> engine) {
-  Job job;
-  job.app = "attack";
-  job.payload = "fn-format-write";
-  job.policy = "paper";
-  job.max_instructions = kContrastBudget;
-  job.machine_key = machine_key("paper", kContrastBudget, elide, engine);
-  job.make_config = [elide, engine]() {
-    return fork_config({}, kContrastBudget, elide, engine);
-  };
-  job.get_snapshot = [&cache]() {
-    return cache.get("attack:fn-format-write",
-                     []() { return prepare_fn_format_write()->snapshot(); });
+  Job job = fork_job("attack", "fn-format-write", "paper", {},
+                     kContrastBudget, elide, engine);
+  job.get_snapshot = [&cache, engine]() {
+    return cache.get("attack:fn-format-write", [engine]() {
+      return prepare_fn_format_write(engine)->snapshot();
+    });
   };
   job.classify = [](core::Machine&, const core::RunReport& report,
                     JobResult& out) { classify_fn_format_write(report, out); };
@@ -218,23 +168,6 @@ Job fn_format_write_job(SnapshotCache& cache, bool elide,
 
 // --- matrices -------------------------------------------------------------
 
-std::vector<Job> ablation_jobs(SnapshotCache& cache, int spec_scale,
-                               bool elide,
-                               std::optional<cpu::Engine> engine) {
-  const auto& workloads = cached_workloads(spec_scale);
-  std::vector<Job> jobs;
-  for (const PolicyVariant& v : ablation_variants()) {
-    for (const auto& w : workloads) {
-      jobs.push_back(spec_job(cache, w, v, elide, engine));
-    }
-    for (const auto& s : cached_corpus()) {
-      if (!s->expected_detected()) continue;
-      jobs.push_back(attack_job(cache, s, v.name, v.policy, elide, engine));
-    }
-  }
-  return jobs;
-}
-
 const core::AttackId kFalsenegIds[] = {core::AttackId::kFnIntOverflow,
                                        core::AttackId::kFnAuthFlag,
                                        core::AttackId::kFnFormatLeak};
@@ -242,23 +175,11 @@ const char* const kFalsenegLabels[] = {"(A) integer overflow index",
                                        "(B) auth-flag overwrite",
                                        "(C) format-string info leak"};
 
-std::vector<Job> falseneg_jobs(SnapshotCache& cache, bool elide,
-                               std::optional<cpu::Engine> engine) {
-  std::vector<Job> jobs;
-  cpu::TaintPolicy paper;  // defaults: pointer-taintedness, all rules on
-  for (core::AttackId id : kFalsenegIds) {
-    std::shared_ptr<const core::Scenario> s = core::make_scenario(id);
-    jobs.push_back(attack_job(cache, s, "paper", paper, elide, engine));
-  }
-  jobs.push_back(fn_format_write_job(cache, elide, engine));
-  return jobs;
-}
-
 // Coverage policy columns: the three detection modes plus the address-leak
 // direction ("leak-aware": paper pointer-taint with
-// TaintPolicy::leak_detection armed).  One list shared by coverage_jobs /
-// coverage_serial / campaign_cells / policy_by_name so the four views of
-// the matrix can never disagree on the column set.
+// TaintPolicy::leak_detection armed).  One list shared by coverage_serial /
+// campaign_cells / policy_by_name so the three views of the matrix can
+// never disagree on the column set.
 std::vector<PolicyVariant> coverage_columns() {
   std::vector<PolicyVariant> out;
   for (cpu::DetectionMode mode :
@@ -274,17 +195,6 @@ std::vector<PolicyVariant> coverage_columns() {
     out.push_back({"leak-aware", p});
   }
   return out;
-}
-
-std::vector<Job> coverage_jobs(SnapshotCache& cache, bool elide,
-                               std::optional<cpu::Engine> engine) {
-  std::vector<Job> jobs;
-  for (const PolicyVariant& v : coverage_columns()) {
-    for (const auto& s : cached_corpus()) {
-      jobs.push_back(attack_job(cache, s, v.name, v.policy, elide, engine));
-    }
-  }
-  return jobs;
 }
 
 // --- serial references ----------------------------------------------------
@@ -308,14 +218,27 @@ JobResult serial_row(size_t index, std::string app, std::string payload,
   return r;
 }
 
-std::vector<JobResult> ablation_serial(int spec_scale) {
+/// Runs `s`'s attack under `policy` on `engine` as the next serial row.
+void push_attack_row(std::vector<JobResult>& out, const core::Scenario& s,
+                     const std::string& policy_name,
+                     const cpu::TaintPolicy& policy, cpu::Engine engine) {
+  JobResult r = serial_row(out.size(), "attack", s.name(), policy_name);
+  core::ScenarioResult sr = s.run_attack_with(policy, engine);
+  r.report = sr.report;
+  r.verdict = core::to_string(sr.outcome);
+  r.detail = sr.detail;
+  r.status = status_for(r.report);
+  out.push_back(std::move(r));
+}
+
+std::vector<JobResult> ablation_serial(int spec_scale, cpu::Engine engine) {
   std::vector<JobResult> out;
   const auto workloads = core::make_spec_workloads(spec_scale);
   const auto corpus = core::make_attack_corpus();
   for (const PolicyVariant& v : ablation_variants()) {
     for (const auto& w : workloads) {
       JobResult r = serial_row(out.size(), "spec", w.name, v.name);
-      auto m = core::prepare_spec_workload(w, v.policy);
+      auto m = core::prepare_spec_workload(w, v.policy, engine);
       r.report = m->run();
       const core::SpecRunRow row = core::classify_spec_run(w, *m, r.report);
       r.verdict = spec_verdict(row);
@@ -324,34 +247,22 @@ std::vector<JobResult> ablation_serial(int spec_scale) {
       out.push_back(std::move(r));
     }
     for (const auto& s : corpus) {
-      if (!s->expected_detected()) continue;
-      JobResult r = serial_row(out.size(), "attack", s->name(), v.name);
-      core::ScenarioResult sr = s->run_attack_with(v.policy);
-      r.report = sr.report;
-      r.verdict = core::to_string(sr.outcome);
-      r.detail = sr.detail;
-      r.status = status_for(r.report);
-      out.push_back(std::move(r));
+      if (s->expected_detected()) {
+        push_attack_row(out, *s, v.name, v.policy, engine);
+      }
     }
   }
   return out;
 }
 
-std::vector<JobResult> falseneg_serial() {
+std::vector<JobResult> falseneg_serial(cpu::Engine engine) {
   std::vector<JobResult> out;
   for (core::AttackId id : kFalsenegIds) {
-    auto s = core::make_scenario(id);
-    JobResult r = serial_row(out.size(), "attack", s->name(), "paper");
-    core::ScenarioResult sr =
-        s->run_attack(cpu::DetectionMode::kPointerTaint);
-    r.report = sr.report;
-    r.verdict = core::to_string(sr.outcome);
-    r.detail = sr.detail;
-    r.status = status_for(r.report);
-    out.push_back(std::move(r));
+    // Paper defaults: pointer-taintedness, all rules on.
+    push_attack_row(out, *core::make_scenario(id), "paper", {}, engine);
   }
   JobResult r = serial_row(out.size(), "attack", "fn-format-write", "paper");
-  auto m = prepare_fn_format_write();
+  auto m = prepare_fn_format_write(engine);
   r.report = m->run();
   classify_fn_format_write(r.report, r);
   r.status = status_for(r.report);
@@ -359,18 +270,12 @@ std::vector<JobResult> falseneg_serial() {
   return out;
 }
 
-std::vector<JobResult> coverage_serial() {
+std::vector<JobResult> coverage_serial(cpu::Engine engine) {
   std::vector<JobResult> out;
   const auto corpus = core::make_attack_corpus();
   for (const PolicyVariant& v : coverage_columns()) {
     for (const auto& s : corpus) {
-      JobResult r = serial_row(out.size(), "attack", s->name(), v.name);
-      core::ScenarioResult sr = s->run_attack_with(v.policy);
-      r.report = sr.report;
-      r.verdict = core::to_string(sr.outcome);
-      r.detail = sr.detail;
-      r.status = status_for(r.report);
-      out.push_back(std::move(r));
+      push_attack_row(out, *s, v.name, v.policy, engine);
     }
   }
   return out;
@@ -495,16 +400,6 @@ std::vector<std::string> campaign_names() {
   return {"ablation", "falseneg", "coverage"};
 }
 
-std::vector<Job> make_jobs(const std::string& campaign, SnapshotCache& cache,
-                           int spec_scale, bool elide,
-                           std::optional<cpu::Engine> engine) {
-  if (campaign == "ablation") {
-    return ablation_jobs(cache, spec_scale, elide, engine);
-  }
-  if (campaign == "falseneg") return falseneg_jobs(cache, elide, engine);
-  if (campaign == "coverage") return coverage_jobs(cache, elide, engine);
-  throw std::invalid_argument("unknown campaign: " + campaign);
-}
 
 std::vector<CellRef> campaign_cells(const std::string& campaign,
                                     int spec_scale) {
@@ -581,6 +476,16 @@ Job make_cell_job(const CellRef& cell, SnapshotCache& cache, int spec_scale,
   throw std::invalid_argument("unknown app kind: " + cell.app);
 }
 
+std::vector<Job> make_jobs(const std::string& campaign, SnapshotCache& cache,
+                           int spec_scale, bool elide,
+                           std::optional<cpu::Engine> engine) {
+  std::vector<Job> jobs;
+  for (const CellRef& cell : campaign_cells(campaign, spec_scale)) {
+    jobs.push_back(make_cell_job(cell, cache, spec_scale, elide, engine));
+  }
+  return jobs;
+}
+
 Job make_session_job(const std::string& app_name,
                      const std::vector<std::string>& session,
                      const std::string& stdin_text,
@@ -593,25 +498,20 @@ Job make_session_job(const std::string& app_name,
   if (guest::apps::find_app(app_name) == nullptr) {
     throw std::invalid_argument("unknown guest app: " + app_name);
   }
-  Job job;
-  job.app = "guest";
-  job.payload = app_name;
-  job.policy = policy_name;
-  job.max_instructions = kContrastBudget;
-  job.machine_key = machine_key(policy_name, kContrastBudget, elide, engine);
-  const cpu::TaintPolicy p = *policy;
-  job.make_config = [p, elide, engine]() {
-    return fork_config(p, kContrastBudget, elide, engine);
-  };
+  Job job = fork_job("guest", app_name, policy_name, *policy,
+                     kContrastBudget, elide, engine);
   // The armed inputs are part of the boot, so the snapshot key must cover
   // them: two submissions differing only in session bytes fork different
   // snapshots, identical ones share.
   std::string snap_key = "guest:" + app_name;
   for (const std::string& line : session) snap_key += "\x1f" + line;
   snap_key += "\x1e" + stdin_text;
-  job.get_snapshot = [&cache, snap_key, app_name, session, stdin_text]() {
+  job.get_snapshot = [&cache, snap_key, app_name, session, stdin_text,
+                      engine]() {
     return cache.get(snap_key, [&]() {
-      auto m = std::make_unique<core::Machine>(core::MachineConfig{});
+      core::MachineConfig cfg;
+      cfg.engine = engine;
+      auto m = std::make_unique<core::Machine>(cfg);
       m->load_sources(
           guest::link_with_runtime(guest::apps::find_app(app_name)->make()));
       if (!session.empty()) m->os().net().add_session(session);
@@ -640,10 +540,10 @@ std::vector<JobResult> run_serial_reference(const std::string& campaign,
                                             int spec_scale) {
   // The serial reference is the semantic baseline, so it always runs on
   // the reference interpreter regardless of the ambient engine selection.
-  ScopedEngineEnv pin("step");
-  if (campaign == "ablation") return ablation_serial(spec_scale);
-  if (campaign == "falseneg") return falseneg_serial();
-  if (campaign == "coverage") return coverage_serial();
+  constexpr cpu::Engine kReference = cpu::Engine::kStep;
+  if (campaign == "ablation") return ablation_serial(spec_scale, kReference);
+  if (campaign == "falseneg") return falseneg_serial(kReference);
+  if (campaign == "coverage") return coverage_serial(kReference);
   throw std::invalid_argument("unknown campaign: " + campaign);
 }
 
@@ -678,7 +578,7 @@ StaticCheckReport static_check(const std::string& campaign,
         }
       }
     } else if (r.payload == "fn-format-write") {
-      m = prepare_fn_format_write();
+      m = prepare_fn_format_write(std::nullopt);
     } else {
       for (const auto& s : cached_corpus()) {
         if (s->name() == r.payload) {

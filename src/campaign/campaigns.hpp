@@ -64,9 +64,8 @@ std::vector<CellRef> campaign_cells(const std::string& campaign,
 /// or "paper") to its TaintPolicy; nullopt for unknown labels.
 std::optional<cpu::TaintPolicy> policy_by_name(const std::string& name);
 
-/// Builds the single job for one matrix cell.  Snapshot sharing, machine
-/// keys, budgets and classifiers are identical to the cell's make_jobs
-/// counterpart, so a daemon running cells one at a time reports exactly
+/// Builds the single job for one matrix cell.  make_jobs is this over
+/// campaign_cells, so a daemon running cells one at a time reports exactly
 /// what a batch campaign run reports.  Throws std::invalid_argument for an
 /// unknown app/payload/policy label.
 Job make_cell_job(const CellRef& cell, SnapshotCache& cache,
@@ -92,8 +91,9 @@ Job make_session_job(const std::string& app_name,
 /// With `elide`, every forked machine runs with static check-elision on
 /// (src/analysis proves sites clean; verdicts are unchanged — pair with
 /// --check against the non-elided serial reference to prove it).
-/// `engine` pins every forked machine's execution engine; unset resolves
-/// through PTAINT_ENGINE / the superblock default (MachineConfig::engine).
+/// `engine` pins the execution engine of every machine the jobs build
+/// (snapshot builders and forks); unset resolves through PTAINT_ENGINE /
+/// the superblock default (MachineConfig::engine).
 std::vector<Job> make_jobs(const std::string& campaign, SnapshotCache& cache,
                            int spec_scale = 1, bool elide = false,
                            std::optional<cpu::Engine> engine = std::nullopt);
@@ -126,10 +126,10 @@ StaticCheckReport static_check(const std::string& campaign,
 
 /// Runs the same matrix serially through the original entry points and
 /// returns results in the same matrix order (status fields as the executor
-/// would report them for a normally-ending guest).  The reference always
-/// runs on the step engine (PTAINT_ENGINE is pinned to "step" for the
-/// duration), so --check doubles as a cross-engine identity check when the
-/// parallel side runs superblocks.
+/// would report them for a normally-ending guest).  Every machine of the
+/// reference, reconnaissance runs included, is built on the step engine,
+/// so --check doubles as a cross-engine identity check when the parallel
+/// side runs superblocks or the jit.
 std::vector<JobResult> run_serial_reference(const std::string& campaign,
                                             int spec_scale = 1);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -11,11 +10,6 @@
 
 namespace ptaint::campaign {
 namespace {
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
 
 uint64_t fnv64(const std::string& s) {
   uint64_t h = 1469598103934665603ull;
@@ -38,17 +32,11 @@ std::string blob_name(const std::string& key) {
 }  // namespace
 
 StoreOptions StoreOptions::from_env() {
+  const cpu::Env& env = cpu::env();
   StoreOptions opts;
-  if (env_truthy("PTAINT_SNAPSHOT_STORE")) opts.enabled = true;
-  if (const char* dir = std::getenv("PTAINT_SNAPSHOT_DIR");
-      dir != nullptr && *dir != '\0') {
-    opts.enabled = true;
-    opts.disk_dir = dir;
-  }
-  if (const char* hot = std::getenv("PTAINT_SNAPSHOT_HOT");
-      hot != nullptr && *hot != '\0') {
-    opts.hot_snapshots = static_cast<size_t>(std::strtoull(hot, nullptr, 10));
-  }
+  opts.enabled = env.snapshot_store || !env.snapshot_dir.empty();
+  opts.disk_dir = env.snapshot_dir;
+  if (env.snapshot_hot) opts.hot_snapshots = *env.snapshot_hot;
   return opts;
 }
 

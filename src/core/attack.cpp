@@ -69,9 +69,11 @@ class SpecScenario : public Scenario {
   uint64_t max_instructions() const override { return spec_.max_instructions; }
 
   std::unique_ptr<Machine> prepare_attack(
-      const cpu::TaintPolicy& policy) const override {
+      const cpu::TaintPolicy& policy,
+      std::optional<cpu::Engine> engine) const override {
     MachineConfig cfg;
     cfg.policy = policy;
+    cfg.engine = engine;
     cfg.max_instructions = spec_.max_instructions;
     cfg.argv = spec_.attack_argv;
     auto m = std::make_unique<Machine>(cfg);
@@ -417,6 +419,7 @@ std::unique_ptr<Scenario> ghttpd_scenario() {
     {
       MachineConfig recon_cfg;
       recon_cfg.max_instructions = 10'000'000;
+      recon_cfg.engine = m.cpu().engine();
       Machine recon(recon_cfg);
       recon.load_sources(link_with_runtime(apps::ghttpd()));
       recon.os().net().add_session({"GET /index.html HTTP/1.0\r\n"});
@@ -601,13 +604,15 @@ std::unique_ptr<Scenario> fn_fmtleak_scenario() {
 // leaked bytes, and the scripted session replays the leak request (the
 // detection point under leak_detection) followed by the computed overwrite.
 
-/// Runs `app` against `recon_session` and returns the word the app dropped
-/// at `symbol` — the same address the leak phase disclosed on the wire.
-uint32_t recon_leaked_word(const asmgen::Source& app,
+/// Runs `app` against `recon_session` on `engine` and returns the word the
+/// app dropped at `symbol` — the same address the leak phase disclosed on
+/// the wire.
+uint32_t recon_leaked_word(cpu::Engine engine, const asmgen::Source& app,
                            const std::vector<std::string>& recon_session,
                            const char* symbol) {
   MachineConfig cfg;
   cfg.max_instructions = 10'000'000;
+  cfg.engine = engine;
   Machine recon(cfg);
   recon.load_sources(link_with_runtime(app));
   recon.os().net().add_session(recon_session);
@@ -635,8 +640,9 @@ std::unique_ptr<Scenario> leak_telemetry_scenario() {
   s.app = apps::leak_telemetry();
   s.arm_attack = [](Machine& m, const asmgen::Program&) {
     // PEEK leaks &reqbuf; is_admin sits 8 bytes below it (sp+24 vs sp+32).
-    const uint32_t reqbuf = recon_leaked_word(
-        apps::leak_telemetry(), {"PEEK", "QUIT"}, "dbg_reqbuf");
+    const uint32_t reqbuf =
+        recon_leaked_word(m.cpu().engine(), apps::leak_telemetry(),
+                          {"PEEK", "QUIT"}, "dbg_reqbuf");
     m.os().net().add_session(
         {"PEEK", "POKE" + le_bytes(reqbuf - 8) + le_bytes(1), "QUIT"});
   };
@@ -660,8 +666,9 @@ std::unique_ptr<Scenario> leak_session_scenario() {
   s.app = apps::leak_session();
   s.arm_attack = [](Machine& m, const asmgen::Program&) {
     // SESS leaks the session record's heap address; uid is its first word.
-    const uint32_t record = recon_leaked_word(
-        apps::leak_session(), {"SESS", "QUIT"}, "dbg_session");
+    const uint32_t record =
+        recon_leaked_word(m.cpu().engine(), apps::leak_session(),
+                          {"SESS", "QUIT"}, "dbg_session");
     m.os().net().add_session(
         {"SESS", "SETU" + le_bytes(record) + le_bytes(0), "QUIT"});
   };
@@ -687,7 +694,8 @@ std::unique_ptr<Scenario> leak_banner_scenario() {
     // "%x" prints the spilled request-buffer pointer in hex; the audited
     // flag sits 8 bytes below the buffer (sp+24 vs sp+32).
     const uint32_t reqbuf = recon_leaked_word(
-        apps::leak_banner(), {"audit %x", "status"}, "dbg_reqbuf");
+        m.cpu().engine(), apps::leak_banner(), {"audit %x", "status"},
+        "dbg_reqbuf");
     m.os().net().add_session(
         {"audit %x", "POKE" + le_bytes(reqbuf - 8) + le_bytes(1)});
   };

@@ -73,9 +73,12 @@ class Scenario {
   // them, so a campaign job that forks a prepared snapshot and classifies
   // the result is verdict-identical to a serial run.
 
-  /// Builds and arms the attack machine under `policy`; does not run it.
+  /// Builds and arms the attack machine under `policy` on `engine` (unset:
+  /// MachineConfig::engine's default); does not run it.  Reconnaissance
+  /// runs inside the arming use the armed machine's engine.
   virtual std::unique_ptr<Machine> prepare_attack(
-      const cpu::TaintPolicy& policy) const = 0;
+      const cpu::TaintPolicy& policy,
+      std::optional<cpu::Engine> engine = std::nullopt) const = 0;
   /// Builds and arms the benign-workload machine (full paper policy).
   virtual std::unique_ptr<Machine> prepare_benign() const = 0;
   /// Judges a finished attack run (from prepare_attack or a restored fork).
@@ -92,8 +95,10 @@ class Scenario {
     return run_attack_with(policy);
   }
   /// Runs the attack under an arbitrary taint policy (ablations).
-  ScenarioResult run_attack_with(const cpu::TaintPolicy& policy) const {
-    auto machine = prepare_attack(policy);
+  ScenarioResult run_attack_with(
+      const cpu::TaintPolicy& policy,
+      std::optional<cpu::Engine> engine = std::nullopt) const {
+    auto machine = prepare_attack(policy, engine);
     RunReport report = machine->run();
     return classify_attack(*machine, std::move(report));
   }

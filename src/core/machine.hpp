@@ -46,17 +46,19 @@ struct MachineConfig {
   bool static_elision = false;
 
   /// Execution engine driving the core.  Unset resolves through the
-  /// PTAINT_ENGINE environment variable ("step" / "superblock") and then
-  /// defaults to the superblock engine (DESIGN.md §9).  Both engines are
-  /// verdict- and statistics-identical; "step" pins the reference
-  /// interpreter (CI runs the whole suite that way so it can never rot).
+  /// PTAINT_ENGINE environment variable ("step" / "superblock" / "jit",
+  /// see cpu::env()) and then defaults to the superblock engine
+  /// (DESIGN.md §9).  All three engines are verdict- and
+  /// statistics-identical; "step" pins the reference interpreter (CI runs
+  /// the whole suite that way so it can never rot), and "jit" compiles hot
+  /// blocks to host code (DESIGN.md §12).
   std::optional<cpu::Engine> engine;
 
   /// Debugging escape hatch for the copy-on-write snapshot machinery
   /// (DESIGN.md §10): force full deep-copy snapshot/restore, exactly the
-  /// pre-COW semantics.  Also settable via the PTAINT_NO_COW environment
-  /// variable (any value other than empty or "0"); either source wins.
-  bool no_cow = false;
+  /// pre-COW semantics.  Unset resolves through the PTAINT_NO_COW
+  /// environment variable (cpu::env()) and then defaults to COW.
+  std::optional<bool> no_cow;
 
   /// §5.3-style escape hatch for the address-leak direction: names of
   /// guest functions that legitimately publish pointers (a %p debug
@@ -220,7 +222,7 @@ class Machine {
   void apply_may_publish(bool strict);
 
   MachineConfig config_;
-  bool no_cow_ = false;  // resolved once from config + PTAINT_NO_COW
+  bool no_cow_ = false;  // config_.no_cow, else cpu::env().no_cow
   mem::TaintedMemory memory_;
   std::unique_ptr<os::SimOs> os_;
   std::unique_ptr<cpu::Cpu> cpu_;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,16 +36,19 @@ struct SpecRunRow {
   std::string output;
 };
 
-/// Runs one workload under the given policy and reports the Table 3 row.
-SpecRunRow run_spec_workload(const SpecWorkload& workload,
-                             const cpu::TaintPolicy& policy = {});
+/// Runs one workload under the given policy on `engine` (unset:
+/// MachineConfig::engine's default) and reports the Table 3 row.
+SpecRunRow run_spec_workload(
+    const SpecWorkload& workload, const cpu::TaintPolicy& policy = {},
+    std::optional<cpu::Engine> engine = std::nullopt);
 
 /// Prepare/classify split for the campaign engine: prepare assembles, loads
 /// and installs the /input file without running; classify builds the row
 /// from a finished run (of the prepared machine or a restored fork of it).
 /// prepare + run + classify is exactly run_spec_workload.
 std::unique_ptr<Machine> prepare_spec_workload(
-    const SpecWorkload& workload, const cpu::TaintPolicy& policy = {});
+    const SpecWorkload& workload, const cpu::TaintPolicy& policy = {},
+    std::optional<cpu::Engine> engine = std::nullopt);
 SpecRunRow classify_spec_run(const SpecWorkload& workload, Machine& machine,
                              const RunReport& report);
 

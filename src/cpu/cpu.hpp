@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "cpu/env.hpp"
 #include "cpu/taint_policy.hpp"
 #include "cpu/taint_unit.hpp"
 #include "isa/isa.hpp"
@@ -30,15 +31,6 @@ class Cpu;
 class SuperblockEngine;
 class JitEngine;
 struct JitRuntime;
-
-/// Which execution engine drives the core (DESIGN.md §9, §12).  All three
-/// produce byte-identical architectural state, stop reasons, alerts and
-/// statistics; the translated tiers are simply faster.
-enum class Engine : uint8_t {
-  kStep,        // reference interpreter: fetch/decode/execute per instruction
-  kSuperblock,  // translated superblocks with threaded dispatch
-  kJit,         // hot superblocks compiled to host x86-64 (DESIGN.md §12)
-};
 
 /// Observability counters for the superblock engine (ptaint-run
 /// --engine-stats).  Diagnostic only — never part of the cross-engine

@@ -12,7 +12,6 @@
 #include "cpu/jit/jit_engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -38,8 +37,10 @@ using jit::Emitter;
 using jit::Gp;
 using SB = SuperblockEngine;
 
-// Trampoline entries before a block is compiled.  Low enough that hot loops
-// compile almost immediately, high enough that one-shot code never pays for
+// Trampoline entries before a block is compiled.  Each entry into a cold
+// block runs one interpreted slice of up to kInterpSlice chained guest
+// instructions, so a hot loop reaches host code only after about 8 such
+// slices (~8k guest instructions), and one-shot code never pays for
 // compilation.
 constexpr uint32_t kHotThreshold = 8;
 
@@ -120,8 +121,7 @@ JitEngine::~JitEngine() {
 
 bool JitEngine::supported() {
 #if defined(__x86_64__) && (defined(__unix__) || defined(__APPLE__))
-  const char* force = std::getenv("PTAINT_JIT_FORCE_UNSUPPORTED");
-  return force == nullptr || force[0] == '\0' || force[0] == '0';
+  return !env().jit_force_unsupported;
 #else
   return false;
 #endif

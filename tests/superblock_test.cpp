@@ -13,15 +13,15 @@
 // identical.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/attack.hpp"
 #include "core/machine.hpp"
-#include "cpu/jit/jit_engine.hpp"
 #include "core/spec_workloads.hpp"
+#include "cpu/env.hpp"
+#include "cpu/jit/jit_engine.hpp"
 #include "guest/apps/apps.hpp"
 #include "guest/runtime.hpp"
 #include "isa/isa.hpp"
@@ -29,27 +29,12 @@
 namespace ptaint::core {
 namespace {
 
-/// Pins PTAINT_ENGINE for a scope, so machines built by scenario factories
-/// (which construct their own MachineConfig) resolve to a chosen engine.
-class ScopedEngine {
- public:
-  explicit ScopedEngine(const char* value) {
-    if (const char* old = std::getenv("PTAINT_ENGINE")) saved_ = old;
-    ::setenv("PTAINT_ENGINE", value, 1);
-  }
-  ~ScopedEngine() {
-    if (!saved_.empty()) {
-      ::setenv("PTAINT_ENGINE", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("PTAINT_ENGINE");
-    }
-  }
-  ScopedEngine(const ScopedEngine&) = delete;
-  ScopedEngine& operator=(const ScopedEngine&) = delete;
-
- private:
-  std::string saved_;
-};
+/// A machine config pinned to the named engine.
+MachineConfig on(const char* engine) {
+  MachineConfig cfg;
+  cfg.engine = cpu::parse_engine(engine);
+  return cfg;
+}
 
 /// Every execution engine, reference interpreter first.
 constexpr const char* kAllEngines[] = {"step", "superblock", "jit"};
@@ -87,9 +72,8 @@ std::string fingerprint(Machine& m, const RunReport& r) {
 }
 
 std::string run_scenario(AttackId id, const char* engine) {
-  ScopedEngine pin(engine);
   auto scenario = make_scenario(id);
-  auto machine = scenario->prepare_attack({});
+  auto machine = scenario->prepare_attack({}, cpu::parse_engine(engine));
   RunReport r = machine->run();
   return fingerprint(*machine, r);
 }
@@ -110,8 +94,8 @@ TEST(Superblock, BenignSpecSurrogateIdenticalAcrossAllEngines) {
   for (const SpecWorkload& w : make_spec_workloads(1)) {
     std::string prints[kNumEngines];
     for (int e = 0; e < kNumEngines; ++e) {
-      ScopedEngine pin(kAllEngines[e]);
-      auto machine = prepare_spec_workload(w);
+      auto machine =
+          prepare_spec_workload(w, {}, cpu::parse_engine(kAllEngines[e]));
       RunReport r = machine->run();
       prints[e] = fingerprint(*machine, r);
     }
@@ -148,8 +132,8 @@ TEST(Superblock, LeakScenariosIdenticalUnderLeakDetection) {
                       AttackId::kLeakBanner}) {
     std::string prints[kNumEngines];
     for (int e = 0; e < kNumEngines; ++e) {
-      ScopedEngine pin(kAllEngines[e]);
-      auto machine = make_scenario(id)->prepare_attack(leak);
+      auto machine = make_scenario(id)->prepare_attack(
+          leak, cpu::parse_engine(kAllEngines[e]));
       RunReport r = machine->run();
       ASSERT_TRUE(r.detected()) << kAllEngines[e];
       EXPECT_EQ(r.alert->kind, cpu::AlertKind::kAddressLeak) << kAllEngines[e];
@@ -183,8 +167,7 @@ TEST(Superblock, BenignLeakAppSessionsIdenticalWithPlanes) {
   for (const Row& row : rows) {
     std::string prints[kNumEngines];
     for (int e = 0; e < kNumEngines; ++e) {
-      ScopedEngine pin(kAllEngines[e]);
-      MachineConfig cfg;
+      MachineConfig cfg = on(kAllEngines[e]);
       cfg.policy.leak_detection = true;
       Machine m(cfg);
       m.load_sources(guest::link_with_runtime(row.app()));
@@ -233,8 +216,7 @@ std::string smc_same_block_source() {
 
 TEST(Superblock, SmcPatchInsideExecutingBlockTakesEffect) {
   for (const char* engine : kAllEngines) {
-    ScopedEngine pin(engine);
-    Machine m;
+    Machine m(on(engine));
     m.load_source(smc_same_block_source());
     RunReport r = m.run();
     EXPECT_EQ(r.stop, cpu::StopReason::kExit) << engine;
@@ -274,8 +256,7 @@ TEST(Superblock, SmcInvalidatesHotSuperblockMidLoop) {
 )";
   std::string prints[kNumEngines];
   for (int e = 0; e < kNumEngines; ++e) {
-    ScopedEngine pin(kAllEngines[e]);
-    Machine m;
+    Machine m(on(kAllEngines[e]));
     m.load_source(source);
     RunReport r = m.run();
     EXPECT_EQ(r.stop, cpu::StopReason::kExit) << kAllEngines[e];
@@ -296,19 +277,18 @@ TEST(Superblock, SmcInvalidatesHotSuperblockMidLoop) {
 TEST(Superblock, SnapshotRestoreBetweenSuperblocksMatchesUninterrupted) {
   auto scenario = make_scenario(AttackId::kExp1Stack);
 
-  ScopedEngine pin("superblock");
   // Uninterrupted superblock run.
-  auto whole = scenario->prepare_attack({});
+  auto whole = scenario->prepare_attack({}, cpu::Engine::kSuperblock);
   RunReport rw = whole->run();
 
   // Sliced run: odd run_for() budgets force stops inside superblocks; a
   // snapshot taken at one of those points restores into a fresh machine.
-  auto sliced = scenario->prepare_attack({});
+  auto sliced = scenario->prepare_attack({}, cpu::Engine::kSuperblock);
   sliced->run_for(37);
   sliced->run_for(101);
   MachineSnapshot snap = sliced->snapshot();
 
-  Machine resumed;
+  Machine resumed(on("superblock"));
   resumed.restore(snap);
   RunReport rr = resumed.run();
   EXPECT_EQ(fingerprint(*whole, rw), fingerprint(resumed, rr));
@@ -325,16 +305,15 @@ TEST(Superblock, JitSnapshotRestoreBetweenSlicesMatchesUninterrupted) {
   // restore path must flush translations and host code together.
   auto scenario = make_scenario(AttackId::kExp1Stack);
 
-  ScopedEngine pin("jit");
-  auto whole = scenario->prepare_attack({});
+  auto whole = scenario->prepare_attack({}, cpu::Engine::kJit);
   RunReport rw = whole->run();
 
-  auto sliced = scenario->prepare_attack({});
+  auto sliced = scenario->prepare_attack({}, cpu::Engine::kJit);
   sliced->run_for(37);
   sliced->run_for(2000);  // deep enough that hot blocks compiled
   MachineSnapshot snap = sliced->snapshot();
 
-  Machine resumed;
+  Machine resumed(on("jit"));
   resumed.restore(snap);
   RunReport rr = resumed.run();
   EXPECT_EQ(fingerprint(*whole, rw), fingerprint(resumed, rr));
@@ -355,8 +334,7 @@ TEST(Superblock, RunForBudgetIsExactMidBlock) {
       j loop
 )";
   for (const char* engine : kAllEngines) {
-    ScopedEngine pin(engine);
-    Machine m;
+    Machine m(on(engine));
     m.load_source(source);
     m.run_for(1000);
     EXPECT_EQ(m.report().cpu_stats.instructions, 1000u) << engine;
@@ -416,8 +394,7 @@ RunReport run_hot_loop(const std::string& source) {
   RunReport reference;
   std::string prints[kNumEngines];
   for (int e = 0; e < kNumEngines; ++e) {
-    ScopedEngine pin(kAllEngines[e]);
-    Machine m;
+    Machine m(on(kAllEngines[e]));
     m.load_source(source);
     RunReport r = m.run();
     prints[e] = fingerprint(m, r);
@@ -522,22 +499,25 @@ TEST(Superblock, JitSlowExitTaintedJr) {
 // ---------------------------------------------------------------------------
 // Unsupported-host fallback: requesting the jit on a host that cannot run
 // emitted code must silently select the superblock engine (after a one-line
-// warning) with identical results.  PTAINT_JIT_FORCE_UNSUPPORTED simulates
-// such a host anywhere.
+// warning) with identical results.  PTAINT_JIT_FORCE_UNSUPPORTED=1
+// simulates such a host anywhere; the environment is read once per
+// process, so ctest runs this test in its own process with the variable
+// set (tests/CMakeLists.txt).
 
 TEST(Superblock, JitFallsBackToSuperblockWhenUnsupported) {
-  ::setenv("PTAINT_JIT_FORCE_UNSUPPORTED", "1", 1);
+  if (!cpu::env().jit_force_unsupported) {
+    GTEST_SKIP() << "needs PTAINT_JIT_FORCE_UNSUPPORTED=1 (set by ctest)";
+  }
   EXPECT_FALSE(cpu::JitEngine::supported());
   std::string forced;
   {
-    ScopedEngine pin("jit");
-    auto machine = make_scenario(AttackId::kExp1Stack)->prepare_attack({});
+    auto machine = make_scenario(AttackId::kExp1Stack)
+                       ->prepare_attack({}, cpu::Engine::kJit);
     EXPECT_EQ(machine->cpu().engine(), cpu::Engine::kSuperblock);
     RunReport r = machine->run();
     EXPECT_EQ(machine->cpu().jit_stats().blocks_compiled, 0u);
     forced = fingerprint(*machine, r);
   }
-  ::unsetenv("PTAINT_JIT_FORCE_UNSUPPORTED");
   EXPECT_EQ(forced, run_scenario(AttackId::kExp1Stack, "superblock"));
 }
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -303,36 +302,15 @@ TEST(Determinism, RepeatRunsAreByteIdentical) {
 
 // ---- golden paper sites as prover witnesses --------------------------------
 
-/// Pins PTAINT_ENGINE for a scope (scenario factories build machines that
-/// resolve the engine from the environment).
-class ScopedEngine {
- public:
-  explicit ScopedEngine(const char* value) {
-    if (const char* old = std::getenv("PTAINT_ENGINE")) saved_ = old;
-    ::setenv("PTAINT_ENGINE", value, 1);
-  }
-  ~ScopedEngine() {
-    if (saved_.empty()) {
-      ::unsetenv("PTAINT_ENGINE");
-    } else {
-      ::setenv("PTAINT_ENGINE", saved_.c_str(), 1);
-    }
-  }
-
- private:
-  std::string saved_;
-};
-
 /// Runs the scenario's attack with check elision installed on `engine`,
 /// checks the dynamic alert matches the paper's site, and requires the
 /// prover to hold a complete witness trace for exactly that PC.
-void expect_golden_witness(core::AttackId id, const char* engine,
+void expect_golden_witness(core::AttackId id, cpu::Engine engine,
                            const std::string& function,
                            const std::string& disasm_contains) {
-  ScopedEngine pin(engine);
   auto scenario = core::make_scenario(id);
   const cpu::TaintPolicy policy;  // paper defaults (pointer taintedness)
-  auto machine = scenario->prepare_attack(policy);
+  auto machine = scenario->prepare_attack(policy, engine);
   machine->enable_static_elision();
   core::RunReport report = machine->run();
   const core::ScenarioResult r =
@@ -355,22 +333,24 @@ void expect_golden_witness(core::AttackId id, const char* engine,
 }
 
 TEST(GoldenWitness, Exp1StackJrRaBothEngines) {
-  expect_golden_witness(core::AttackId::kExp1Stack, "step", "exp1", "jr $31");
-  expect_golden_witness(core::AttackId::kExp1Stack, "superblock", "exp1",
+  expect_golden_witness(core::AttackId::kExp1Stack, cpu::Engine::kStep, "exp1",
                         "jr $31");
+  expect_golden_witness(core::AttackId::kExp1Stack, cpu::Engine::kSuperblock,
+                        "exp1", "jr $31");
 }
 
 TEST(GoldenWitness, Exp2HeapFreeBothEngines) {
-  expect_golden_witness(core::AttackId::kExp2Heap, "step", "free", "($");
-  expect_golden_witness(core::AttackId::kExp2Heap, "superblock", "free",
+  expect_golden_witness(core::AttackId::kExp2Heap, cpu::Engine::kStep, "free",
                         "($");
+  expect_golden_witness(core::AttackId::kExp2Heap, cpu::Engine::kSuperblock,
+                        "free", "($");
 }
 
 TEST(GoldenWitness, Exp3FormatVfprintfBothEngines) {
-  expect_golden_witness(core::AttackId::kExp3Format, "step", "vfprintf",
-                        "sw $21,0($3)");
-  expect_golden_witness(core::AttackId::kExp3Format, "superblock", "vfprintf",
-                        "sw $21,0($3)");
+  expect_golden_witness(core::AttackId::kExp3Format, cpu::Engine::kStep,
+                        "vfprintf", "sw $21,0($3)");
+  expect_golden_witness(core::AttackId::kExp3Format, cpu::Engine::kSuperblock,
+                        "vfprintf", "sw $21,0($3)");
 }
 
 // ---- may-publish annotations (leak direction, §5.3 escape hatch) -----------

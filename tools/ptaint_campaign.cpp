@@ -53,6 +53,7 @@
 #include "campaign/campaigns.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/report.hpp"
+#include "cpu/env.hpp"
 
 using namespace ptaint;
 using namespace ptaint::campaign;
@@ -94,6 +95,7 @@ double seconds_since(Clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!cpu::check_env("ptaint-campaign")) return 4;
   if (argc < 2) usage();
   const std::string campaign = argv[1];
   {
@@ -134,16 +136,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--elide") {
       elide = true;
     } else if (arg == "--engine") {
-      const std::string name = value();
-      if (name == "step") {
-        engine = cpu::Engine::kStep;
-      } else if (name == "superblock") {
-        engine = cpu::Engine::kSuperblock;
-      } else if (name == "jit") {
-        engine = cpu::Engine::kJit;
-      } else {
-        usage();
-      }
+      engine = cpu::parse_engine(value());
+      if (!engine) usage();
     } else if (arg == "--static-check") {
       want_static_check = true;
     } else if (arg == "--time") {

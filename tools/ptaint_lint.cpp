@@ -27,6 +27,7 @@
 #include "analysis/cfg.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/summary_cache.hpp"
+#include "cpu/env.hpp"
 #include "guest/apps/registry.hpp"
 #include "guest/runtime.hpp"
 
@@ -141,6 +142,7 @@ int lint_all_apps(bool quiet) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!cpu::check_env("ptaint-lint")) return 4;
   std::vector<asmgen::Source> sources;
   cpu::TaintPolicy policy;  // paper defaults
   bool with_runtime = true;

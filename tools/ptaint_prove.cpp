@@ -34,6 +34,7 @@
 #include "analysis/cfg.hpp"
 #include "analysis/summary_cache.hpp"
 #include "analysis/vsa.hpp"
+#include "cpu/env.hpp"
 #include "guest/apps/registry.hpp"
 #include "guest/runtime.hpp"
 
@@ -147,6 +148,7 @@ void print_witnesses_text(const analysis::Cfg& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!cpu::check_env("ptaint-prove")) return 4;
   std::vector<asmgen::Source> sources;
   cpu::TaintPolicy policy;  // paper defaults
   std::string app_name = "program";

@@ -12,25 +12,7 @@
 //   3  guest fault or exhausted instruction budget
 //   4  usage or assembly error (the guest never ran)
 //
-// Options:
-//   --stdin TEXT          guest stdin bytes
-//   --stdin-file PATH     guest stdin from a host file
-//   --vfs GUEST=HOST      install a VFS file from a host file
-//   --session CHUNKS      network client session; '|' separates recv chunks
-//   --arg V               append a guest argv entry (repeatable)
-//   --policy MODE         paper (default) | control | off
-//   --no-compare-untaint  disable the Table 1 compare rule
-//   --per-word            per-word taint granularity
-//   --protect SYM:LEN     annotate a data symbol as never-tainted
-//   --trace N             print the last N instructions at stop
-//   --profile             print the per-function profile
-//   --pipeline            enable the timing model and print its stats
-//   --max-instr N         instruction budget (default 200M)
-//   --no-elide            skip the static analyzer; run every dynamic check
-//   --engine E            step | superblock | jit (default superblock)
-//   --engine-stats        print superblock/JIT/taint-summary observability
-//                         stats
-//   --quiet               suppress everything except guest stdout
+// Options: `ptaint-run --help` prints the list, kept next to its parser.
 //
 // Static check-elision is ON by default: the src/analysis pass proves most
 // dereference sites can never carry a tainted address and the interpreter
@@ -55,6 +37,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "cpu/env.hpp"
 #include "guest/runtime.hpp"
 
 using namespace ptaint;
@@ -93,6 +76,7 @@ std::vector<std::string> split(const std::string& s, char sep) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!cpu::check_env("ptaint-run")) return 4;
   core::MachineConfig cfg;
   cfg.static_elision = true;  // proven-clean sites skip the dynamic check
   std::vector<asmgen::Source> sources;
@@ -129,7 +113,7 @@ usage: ptaint-run [options] program.s [more.s ...]
   --trace N / --profile / --pipeline
   --listing             print the assembled text segment and exit
   --no-elide            disable static check-elision (check every site)
-  --engine E            step | superblock | jit (default; also PTAINT_ENGINE)
+  --engine E            step | superblock (default) | jit; also PTAINT_ENGINE
   --engine-stats        block cache, fusion, JIT and clean-page counters
   --max-instr N / --quiet
 exit codes: 0 clean exit, 1 nonzero guest exit, 2 security alert,
@@ -194,16 +178,8 @@ exit codes: 0 clean exit, 1 nonzero guest exit, 2 security alert,
     } else if (arg == "--listing") {
       listing_only = true;
     } else if (arg == "--engine") {
-      const std::string engine = value();
-      if (engine == "step") {
-        cfg.engine = cpu::Engine::kStep;
-      } else if (engine == "superblock") {
-        cfg.engine = cpu::Engine::kSuperblock;
-      } else if (engine == "jit") {
-        cfg.engine = cpu::Engine::kJit;
-      } else {
-        usage();
-      }
+      cfg.engine = cpu::parse_engine(value());
+      if (!cfg.engine) usage();
     } else if (arg == "--engine-stats") {
       engine_stats = true;
     } else if (arg == "--no-elide") {
@@ -300,10 +276,7 @@ exit codes: 0 clean exit, 1 nonzero guest exit, 2 security alert,
       return static_cast<unsigned long long>(v);
     };
     const cpu::Engine eng = machine.cpu().engine();
-    std::fprintf(stderr, "engine: %s\n",
-                 eng == cpu::Engine::kJit          ? "jit"
-                 : eng == cpu::Engine::kSuperblock ? "superblock"
-                                                   : "step");
+    std::fprintf(stderr, "engine: %s\n", cpu::to_string(eng));
     std::fprintf(stderr,
                  "blocks: %llu cached (%llu translated, %llu invalidated), "
                  "avg %.1f insts/block\n",

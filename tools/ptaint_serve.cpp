@@ -14,7 +14,8 @@
 //   --quota N          live (queued+running) jobs per tenant; 0 = off
 //                      (default 1024)
 //   --spec-scale N     SPEC surrogate input scale for matrix cells
-//   --timeout-ms N     default per-job deadline (default 60000)
+//   --timeout-ms N     default per-job deadline (default 60000; at most
+//                      JobSpec::kMaxTimeoutMs, one day)
 //   --slice N          instructions per deadline-check slice
 //   --snapshot-store   content-addressed snapshot store (DESIGN.md §13):
 //                      snapshot pages deduped across keys
@@ -34,8 +35,10 @@
 #include <string>
 #include <thread>
 
+#include "cpu/env.hpp"
 #include "serve/server.hpp"
 
+using ptaint::serve::JobSpec;
 using ptaint::serve::ServeDaemon;
 
 namespace {
@@ -46,7 +49,8 @@ namespace {
                "  --quota N       live jobs per tenant, 0 = off (default "
                "1024)\n"
                "  --spec-scale N  SPEC surrogate input scale\n"
-               "  --timeout-ms N  default per-job deadline (default 60000)\n"
+               "  --timeout-ms N  default per-job deadline (default 60000, "
+               "at most 86400000)\n"
                "  --slice N       instructions per deadline-check slice\n"
                "  --snapshot-store   content-addressed snapshot store "
                "(memory only)\n"
@@ -59,6 +63,7 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!ptaint::cpu::check_env("ptaint-serve")) return 4;
   ServeDaemon::Config config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -83,6 +88,7 @@ int main(int argc, char** argv) {
       if (config.spec_scale < 1) usage();
     } else if (arg == "--timeout-ms") {
       config.default_timeout_ms = std::strtoull(value().c_str(), nullptr, 0);
+      if (config.default_timeout_ms > JobSpec::kMaxTimeoutMs) usage();
     } else if (arg == "--slice") {
       config.slice_instructions = std::strtoull(value().c_str(), nullptr, 0);
       if (config.slice_instructions == 0) usage();
