@@ -1,44 +1,49 @@
-// Sustained serving throughput of the ptaint-serve daemon.
+// Serving gates for the ptaint-serve daemon, run in process.
 //
-// Boots a ServeDaemon in-process on a scratch socket + journal, then
-// drives the seed ablation workload — every detectable attack cell under
-// the paper policy — through the full socket protocol with the shared
-// load generator (streaming submits over concurrent connections).  The
-// measured path is the real daemon path end to end: NDJSON parse, quota
-// check, journal append, fair-queue dispatch, snapshot-fork execution on
-// shard workers, judge-batch adjudication, second journal append, event
-// fan-out, socket write.
+// Boots a ServeDaemon on a scratch socket + journal and drives the seed
+// load, every detectable attack cell of the ablation matrix under the
+// paper policy, through the full socket protocol: streaming submits in
+// batches of 32, one client thread per connection.  The path is the real
+// daemon path end to end: NDJSON parse, quota check, journal append,
+// fair-queue dispatch, snapshot-fork execution on shard workers,
+// judge-batch adjudication, second journal append, event fan-out, socket
+// write.  Serving cost is measured by perfbench's serve-mixed workload
+// (perfbench/README.md); this binary only checks behaviour.
 //
-//   bench_serve [json-path] [--jobs N] [--connections N] [--batch N]
-//               [--workers N] [--check] [--soak N]
+//   bench_serve --check [--workers N]
+//   bench_serve --soak N [--workers N]
 //
-// Two timed phases per configuration: a warmup pass (boots the snapshots
-// and populates every shard's machine pool) and the measured pass.
-// Results — sustained jobs/sec plus p50/p99 submit-to-verdict latency —
-// go to `json-path` (default BENCH_serve.json) for EXPERIMENTS.md and CI.
-// `--check` instead runs a small pass and exits 1 unless every job
-// verdicted (made for sanitizer legs, where timing is meaningless).
+// `--check` streams 64 jobs plus four per seed cell over 2 connections to
+// 8 shard workers (made for sanitizer legs) and exits 1 unless every job
+// verdicted and no error event arrived.
 //
 // `--soak N` exercises the store-backed restart path (DESIGN.md §13): a
-// cold daemon with a disk-tier snapshot store serves N jobs and shuts
-// down cleanly; a second daemon on the same journal + store directory
-// then serves N more.  Asserted: phase-A results replayed done and never
-// re-executed (exactly-once), phase B rehydrates snapshots from the
-// prior process's disk tier (warm misses < cold misses, disk
-// rehydrations > 0), and the two phases' verdicts are identical.
+// cold daemon with a disk-tier snapshot store serves N jobs over 4
+// connections and shuts down cleanly; a second daemon on the same journal
+// + store directory then serves N more.  Asserted: phase-A results
+// replayed done and never re-executed (exactly-once), phase B rehydrates
+// snapshots from the prior process's disk tier (warm misses < cold
+// misses, disk rehydrations > 0), and the two phases' verdicts are
+// identical.
+//
+// Exit codes: 0 pass, 1 a failed assertion, 4 usage or scratch-setup error.
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <unistd.h>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaigns.hpp"
+#include "cpu/env.hpp"
 #include "serve/client.hpp"
+#include "serve/json.hpp"
 #include "serve/server.hpp"
 
 using namespace ptaint;
@@ -51,8 +56,7 @@ std::string scratch_path(const char* suffix) {
 }
 
 /// The seed load: the ablation matrix's detectable attack cells under the
-/// paper policy — small guests, one shared snapshot per scenario, the
-/// workload the acceptance bar is defined against.
+/// paper policy — small guests, one shared snapshot per scenario.
 std::vector<std::string> seed_specs() {
   std::vector<std::string> specs;
   for (const auto& cell : campaign::campaign_cells("ablation")) {
@@ -64,34 +68,63 @@ std::vector<std::string> seed_specs() {
   return specs;
 }
 
-/// First occurrence of a quoted string field in a JSON reply line.
-std::string extract_str(const std::string& json, const std::string& key) {
-  const std::string pat = "\"" + key + "\": \"";
-  const size_t p = json.find(pat);
-  if (p == std::string::npos) return "";
-  const size_t begin = p + pat.size();
-  const size_t end = json.find('"', begin);
-  return end == std::string::npos ? "" : json.substr(begin, end - begin);
+/// Streams `jobs` jobs, cycling through the seed specs, in batches of 32
+/// over `connections` concurrent clients, one thread each.  True when every
+/// job verdicted and no error event arrived.
+bool stream_jobs(const std::string& socket, uint64_t jobs, int connections) {
+  constexpr uint64_t kBatch = 32;
+  const std::vector<std::string> specs = seed_specs();
+  const uint64_t stride = kBatch * static_cast<uint64_t>(connections);
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < connections; ++c) {
+    threads.emplace_back([&, c]() {
+      try {
+        Client client(socket);
+        for (uint64_t begin = kBatch * static_cast<uint64_t>(c); begin < jobs;
+             begin += stride) {
+          std::vector<std::string> batch;
+          for (uint64_t i = begin; i < std::min(jobs, begin + kBatch); ++i) {
+            batch.push_back(specs[i % specs.size()]);
+          }
+          const Client::Streamed streamed = client.submit_stream(batch);
+          if (!streamed.accepted) ok = false;
+          for (const std::string& event : streamed.events) {
+            if (JsonValue::parse(event).get_string("event") != "verdict") {
+              ok = false;
+            }
+          }
+        }
+      } catch (const std::exception&) {
+        ok = false;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return ok;
 }
 
-/// First occurrence of a numeric field in a JSON reply line.
-uint64_t extract_u64(const std::string& json, const std::string& key) {
-  const std::string pat = "\"" + key + "\": ";
-  const size_t p = json.find(pat);
-  if (p == std::string::npos) return 0;
-  return std::strtoull(json.c_str() + p + pat.size(), nullptr, 10);
+/// The `result` reply for job `id`, parsed.
+JsonValue job_result(Client& client, uint64_t id) {
+  return JsonValue::parse(client.request(
+      "{\"cmd\": \"result\", \"id\": " + std::to_string(id) + "}"));
 }
 
-/// The timing-independent part of a verdict row, for cross-phase
-/// comparison.
-std::string verdict_fingerprint(const std::string& row) {
-  return extract_str(row, "payload") + "|" + extract_str(row, "policy") +
-         "|" + extract_str(row, "verdict") + "|" + extract_str(row, "stop") +
-         "|" + extract_str(row, "alert") + "|" +
-         extract_str(row, "alert_function");
+/// The timing-independent part of a `result` reply's verdict row, for
+/// cross-phase comparison.
+std::string verdict_fingerprint(const JsonValue& result) {
+  const JsonValue* row = result.get("result");
+  if (row == nullptr) return "";
+  std::string out;
+  for (const char* key :
+       {"payload", "policy", "verdict", "stop", "alert", "alert_function"}) {
+    out += row->get_string(key) + "|";
+  }
+  return out;
 }
 
-int run_soak(uint64_t jobs, int connections, int batch, int workers) {
+int run_soak(uint64_t jobs, int workers) {
+  constexpr int kConnections = 4;
   const std::string socket = scratch_path(".sock");
   const std::string journal = scratch_path(".journal");
   char tmpl[] = "/tmp/bench_serve.store.XXXXXX";
@@ -101,7 +134,6 @@ int run_soak(uint64_t jobs, int connections, int batch, int workers) {
     return 4;
   }
   ::unlink(journal.c_str());
-  const std::vector<std::string> specs = seed_specs();
   auto fail = [&](const char* msg) {
     std::fprintf(stderr, "soak: %s\n", msg);
     std::filesystem::remove_all(dir);
@@ -123,22 +155,22 @@ int run_soak(uint64_t jobs, int connections, int batch, int workers) {
   {
     ServeDaemon daemon(config);
     daemon.start();
-    const LoadStats stats =
-        run_load(socket, specs, jobs, connections, batch);
-    if (stats.errors != 0 || stats.jobs != jobs) {
-      return fail("phase A load errors / missing verdicts");
+    if (!stream_jobs(socket, jobs, kConnections)) {
+      return fail("phase A error events / missing verdicts");
     }
     Client client(socket);
-    const std::string status = client.request("{\"cmd\": \"status\"}");
-    cold_misses = extract_u64(status, "misses");
+    const JsonValue status =
+        JsonValue::parse(client.request("{\"cmd\": \"status\"}"));
+    const JsonValue* cache = status.get("snapshot_cache");
+    if (cache == nullptr) return fail("phase A status has no snapshot_cache");
+    cold_misses = cache->get_u64("misses");
     if (cold_misses == 0) return fail("phase A reported no cold misses");
-    if (status.find("\"store_enabled\": true") == std::string::npos) {
+    if (!cache->get_bool("store_enabled")) {
       return fail("phase A daemon is not store-backed");
     }
     for (uint64_t id = 1; id <= jobs; ++id) {
-      const std::string r = client.request(
-          "{\"cmd\": \"result\", \"id\": " + std::to_string(id) + "}");
-      if (extract_str(r, "state") != "done") {
+      const JsonValue r = job_result(client, id);
+      if (r.get_string("state") != "done") {
         return fail("phase A job not done");
       }
       verdicts_a.push_back(verdict_fingerprint(r));
@@ -157,22 +189,23 @@ int run_soak(uint64_t jobs, int connections, int batch, int workers) {
     ServeDaemon daemon(config);
     daemon.start();
     Client client(socket);
-    const std::string status0 = client.request("{\"cmd\": \"status\"}");
-    if (extract_u64(status0, "done") != jobs) {
+    const JsonValue status0 =
+        JsonValue::parse(client.request("{\"cmd\": \"status\"}"));
+    if (status0.get_u64("done") != jobs) {
       return fail("restart did not replay phase A results as done");
     }
-    if (extract_u64(status0, "jobs_done") != 0 ||
-        extract_u64(status0, "replayed") != 0) {
+    if (status0.get_u64("jobs_done") != 0 || status0.get_u64("replayed") != 0) {
       return fail("restart re-executed phase A jobs (exactly-once broken)");
     }
-    const LoadStats stats =
-        run_load(socket, specs, jobs, connections, batch);
-    if (stats.errors != 0 || stats.jobs != jobs) {
-      return fail("phase B load errors / missing verdicts");
+    if (!stream_jobs(socket, jobs, kConnections)) {
+      return fail("phase B error events / missing verdicts");
     }
-    const std::string status1 = client.request("{\"cmd\": \"status\"}");
-    warm_misses = extract_u64(status1, "misses");
-    disk_rehydrations = extract_u64(status1, "disk_rehydrations");
+    const JsonValue status1 =
+        JsonValue::parse(client.request("{\"cmd\": \"status\"}"));
+    const JsonValue* cache = status1.get("snapshot_cache");
+    if (cache == nullptr) return fail("phase B status has no snapshot_cache");
+    warm_misses = cache->get_u64("misses");
+    disk_rehydrations = cache->get_u64("disk_rehydrations");
     if (warm_misses >= cold_misses) {
       return fail("phase B was not warm (misses did not drop)");
     }
@@ -180,9 +213,8 @@ int run_soak(uint64_t jobs, int connections, int batch, int workers) {
       return fail("phase B never rehydrated from the disk tier");
     }
     for (uint64_t id = jobs + 1; id <= 2 * jobs; ++id) {
-      const std::string r = client.request(
-          "{\"cmd\": \"result\", \"id\": " + std::to_string(id) + "}");
-      if (extract_str(r, "state") != "done") {
+      const JsonValue r = job_result(client, id);
+      if (r.get_string("state") != "done") {
         return fail("phase B job not done");
       }
       verdicts_b.push_back(verdict_fingerprint(r));
@@ -213,115 +245,62 @@ int run_soak(uint64_t jobs, int connections, int batch, int workers) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_path = "BENCH_serve.json";
-  uint64_t jobs = 4000;
-  int connections = 4, batch = 32, workers = 8;
-  bool check = false;
-  uint64_t soak = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_serve: %s needs a value\n", arg.c_str());
-        std::exit(4);
-      }
-      return argv[++i];
-    };
-    if (arg == "--jobs") {
-      jobs = std::strtoull(value(), nullptr, 0);
-    } else if (arg == "--connections") {
-      connections = std::atoi(value());
-    } else if (arg == "--batch") {
-      batch = std::atoi(value());
-    } else if (arg == "--workers") {
-      workers = std::atoi(value());
-    } else if (arg == "--check") {
-      check = true;
-    } else if (arg == "--soak") {
-      soak = std::strtoull(value(), nullptr, 0);
-    } else if (!arg.empty() && arg[0] != '-') {
-      json_path = arg;
-    } else {
-      std::fprintf(stderr, "bench_serve: unknown option %s\n", arg.c_str());
-      return 4;
-    }
-  }
-  if (soak > 0) return run_soak(soak, connections, batch, workers);
-  if (check) {
-    jobs = 64;
-    connections = 2;
-  }
-
+/// Streams the seed load through a fresh daemon; see the header.
+int run_check(int workers) {
   ServeDaemon::Config config;
   config.socket_path = scratch_path(".sock");
   config.journal_path = scratch_path(".journal");
   config.workers = workers;
   ::unlink(config.journal_path.c_str());
 
+  const uint64_t jobs = 4 * seed_specs().size() + 64;
   ServeDaemon daemon(config);
   daemon.start();
-  const std::vector<std::string> specs = seed_specs();
-
-  // Warmup: boots every scenario snapshot into the shared cache and a kept
-  // machine into each shard's pool, so the measured pass times serving,
-  // not first-touch construction.
-  const LoadStats warm = run_load(config.socket_path, specs,
-                                  specs.size() * 4, connections, batch);
-  const LoadStats stats =
-      run_load(config.socket_path, specs, jobs, connections, batch);
-
+  const bool ok = stream_jobs(config.socket_path, jobs, 2);
   {
     Client client(config.socket_path);
     client.request("{\"cmd\": \"shutdown\"}");
   }
   daemon.wait();
   ::unlink(config.journal_path.c_str());
+  std::printf("check: %s (%llu jobs, %d workers, 2 connections)\n",
+              ok ? "ok" : "FAILED", static_cast<unsigned long long>(jobs),
+              workers);
+  return ok ? 0 : 1;
+}
 
-  std::printf("== ptaint-serve sustained throughput ==\n\n");
-  std::printf("workload: %zu ablation attack cells, %llu jobs, %d workers, "
-              "%d connections x batch %d\n",
-              specs.size(), static_cast<unsigned long long>(stats.jobs),
-              workers, connections, batch);
-  std::printf("sustained: %.0f jobs/s over %.2fs\n", stats.jobs_per_sec,
-              stats.wall_s);
-  std::printf("latency:   p50 %.2fms  p99 %.2fms (submit -> verdict)\n",
-              stats.p50_ms, stats.p99_ms);
-  if (stats.errors != 0 || warm.errors != 0) {
-    std::fprintf(stderr, "bench_serve: %llu load errors\n",
-                 static_cast<unsigned long long>(stats.errors + warm.errors));
-    return 1;
-  }
-  if (check) {
-    const bool ok = stats.jobs == jobs;
-    std::printf("\ncheck: %s (%llu/%llu verdicts)\n", ok ? "ok" : "FAILED",
-                static_cast<unsigned long long>(stats.jobs),
-                static_cast<unsigned long long>(jobs));
-    return ok ? 0 : 1;
-  }
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: bench_serve --check [--workers N]\n"
+               "       bench_serve --soak N [--workers N]\n");
+  std::exit(4);
+}
 
-  std::ostringstream json;
-  char line[256];
-  json << "{\n  \"bench\": \"serve_throughput\",\n";
-  json << "  \"workload\": \"ablation-attack-cells\",\n";
-  std::snprintf(line, sizeof line,
-                "  \"jobs\": %llu,\n  \"workers\": %d,\n"
-                "  \"connections\": %d,\n  \"batch\": %d,\n",
-                static_cast<unsigned long long>(stats.jobs), workers,
-                connections, batch);
-  json << line;
-  std::snprintf(line, sizeof line,
-                "  \"wall_s\": %.3f,\n  \"jobs_per_sec\": %.1f,\n"
-                "  \"p50_ms\": %.3f,\n  \"p99_ms\": %.3f\n}\n",
-                stats.wall_s, stats.jobs_per_sec, stats.p50_ms, stats.p99_ms);
-  json << line;
-  std::ofstream out(json_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "bench_serve: cannot write %s\n", json_path.c_str());
-    return 4;
+}  // namespace
+
+int main(int argc, char** argv) {
+  int workers = 8;
+  bool check = false;
+  uint64_t soak = 0;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    auto number = [&](uint64_t max) {
+      if (i + 1 >= argc) usage();
+      const auto n = cpu::parse_number(argv[++i], max);
+      if (!n || *n == 0) usage();
+      return *n;
+    };
+    if (arg == "--workers") {
+      workers = static_cast<int>(number(INT_MAX));
+    } else if (arg == "--check") {
+      check = true;
+    } else if (arg == "--soak") {
+      soak = number(UINT64_MAX);
+    } else {
+      usage();
+    }
   }
-  out << json.str();
-  return 0;
+  if (soak > 0) return run_soak(soak, workers);
+  if (check) return run_check(workers);
+  usage();
 }

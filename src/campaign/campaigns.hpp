@@ -1,10 +1,10 @@
 // The paper's evaluation matrices expressed as campaign job lists.
 //
 // Three named campaigns:
-//   "ablation"  — bench_ablation_policy's matrix: 7 policy variants ×
-//                 (6 SPEC surrogates + 9 detectable attacks);
-//   "falseneg"  — bench_table4_false_negatives: the three Table 4 escape
-//                 scenarios plus the detected WRITE contrast;
+//   "ablation"  — 7 policy variants × (6 SPEC surrogates + 9 detectable
+//                 attacks);
+//   "falseneg"  — the three Table 4 escape scenarios plus the detected
+//                 WRITE contrast;
 //   "coverage"  — the full attack corpus × {unprotected, control-data,
 //                 pointer-taint, leak-aware} policy columns ("leak-aware"
 //                 is the paper policy with TaintPolicy::leak_detection on).

@@ -75,7 +75,6 @@ std::vector<JobResult> Executor::run(const std::vector<Job>& jobs) {
     queues[w].jobs.push_back(i);
   }
 
-  std::atomic<uint64_t> remaining{jobs.size()};
   std::atomic<uint64_t> steals{0};
   std::atomic<uint64_t> retries{0};
   ForkCounters counters;
@@ -93,11 +92,10 @@ std::vector<JobResult> Executor::run(const std::vector<Job>& jobs) {
           if (found) steals.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      if (!found) {
-        if (remaining.load(std::memory_order_acquire) == 0) return;
-        std::this_thread::yield();
-        continue;
-      }
+      // Every job is dealt before the threads start and none is ever
+      // re-enqueued (retries happen inside run_job), so once every deque
+      // is empty no job can appear: this worker is done.
+      if (!found) return;
       JobResult r =
           run_job(jobs[index], index, worker_config, machines, counters);
       if (r.attempts > 1) {
@@ -105,7 +103,6 @@ std::vector<JobResult> Executor::run(const std::vector<Job>& jobs) {
                           std::memory_order_relaxed);
       }
       results[index] = std::move(r);
-      remaining.fetch_sub(1, std::memory_order_release);
     }
   };
 

@@ -1,6 +1,7 @@
 #include "cpu/env.hpp"
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -23,6 +24,26 @@ std::optional<Engine> parse_engine(std::string_view name) {
 
 const char* to_string(Engine engine) {
   return kEngineNames[static_cast<size_t>(engine)];
+}
+
+std::optional<uint64_t> parse_number(std::string_view text, uint64_t max,
+                                     int base) {
+  if (base == 0) {
+    base = 10;
+    if (text.size() > 1 && text[0] == '0') {
+      base = 8;
+      if (text[1] == 'x' || text[1] == 'X') {
+        base = 16;
+        text.remove_prefix(2);
+      }
+    }
+  }
+  // from_chars takes no sign, whitespace or prefix for an unsigned value.
+  uint64_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, n, base);
+  if (ec != std::errc() || stop != end || n > max) return std::nullopt;
+  return n;
 }
 
 Env parse_env(const std::function<const char*(const char*)>& getter) {
@@ -50,12 +71,9 @@ Env parse_env(const std::function<const char*(const char*)>& getter) {
   flag("PTAINT_SNAPSHOT_STORE", out.snapshot_store);
   out.snapshot_dir = get("PTAINT_SNAPSHOT_DIR");
   if (const std::string_view v = get("PTAINT_SNAPSHOT_HOT"); !v.empty()) {
-    size_t n = 0;
-    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-    if (ec != std::errc() || end != v.data() + v.size()) {
-      reject("PTAINT_SNAPSHOT_HOT", "not a snapshot count: ", v);
-    }
-    out.snapshot_hot = n;
+    const auto n = parse_number(v, SIZE_MAX, 10);
+    if (!n) reject("PTAINT_SNAPSHOT_HOT", "not a snapshot count: ", v);
+    out.snapshot_hot = *n;
   }
   flag("PTAINT_JIT_FORCE_UNSUPPORTED", out.jit_force_unsupported);
   return out;

@@ -1,8 +1,10 @@
-// Engine names and the PTAINT_* environment variables (DESIGN.md §15).
+// Engine names, numbers and the PTAINT_* environment variables (DESIGN.md
+// §15): the configuration read at the edge of every tool.
 //
 // The seven variables are parsed in one place, once per process: env()
 // applies the pure parse_env() to the process environment on first use.
 // Library code reads the parsed struct and never the environment itself.
+// parse_number() is the one check behind every numeric CLI option.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +29,13 @@ enum class Engine : uint8_t {
 std::optional<Engine> parse_engine(std::string_view name);
 /// The engine's name, as parse_engine() accepts it.
 const char* to_string(Engine engine);
+
+/// `text` as a whole unsigned number no greater than `max`.  Base 0 reads
+/// the notations strtoull(text, nullptr, 0) reads: 0x hexadecimal, a
+/// leading 0 octal, else decimal.  nullopt for an empty string, a sign,
+/// whitespace, trailing characters or a value over `max`.
+std::optional<uint64_t> parse_number(std::string_view text, uint64_t max,
+                                     int base = 0);
 
 /// The parsed variables; each default is what an unset variable means.
 struct Env {

@@ -6,7 +6,7 @@
 // compiled code behaves: input-derived values are validated (compared)
 // before they are ever used in address arithmetic, which is exactly the
 // compatibility property the paper's compare-untaint rule exists for.
-// The ablation bench (bench_ablation_policy) shows several of these
+// The ablation campaign (`ptaint-campaign ablation`) shows several of these
 // workloads false-positive once that rule is disabled.
 //
 // Input protocol shared by all six: the file "/input" on the VFS.

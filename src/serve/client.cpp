@@ -4,15 +4,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <mutex>
-#include <sstream>
+#include <map>
 #include <stdexcept>
-#include <thread>
+
+#include "serve/json.hpp"
 
 namespace ptaint::serve {
 
@@ -83,104 +80,37 @@ std::string Client::request(const std::string& line) {
   return *reply;
 }
 
-LoadStats run_load(const std::string& socket_path,
-                   const std::vector<std::string>& spec_jsons,
-                   uint64_t total_jobs, int connections, int batch) {
-  if (spec_jsons.empty() || total_jobs == 0) return {};
-  if (connections < 1) connections = 1;
-  if (batch < 1) batch = 1;
-
-  using clock = std::chrono::steady_clock;
-  std::atomic<uint64_t> next_job{0};
-  std::mutex merge_mutex;
-  std::vector<double> latencies_ms;
-  std::atomic<uint64_t> errors{0};
-  latencies_ms.reserve(total_jobs);
-
-  const auto t0 = clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(connections));
-  for (int c = 0; c < connections; ++c) {
-    threads.emplace_back([&]() {
-      std::vector<double> local;
-      try {
-        Client client(socket_path);
-        for (;;) {
-          // Claim the next batch of job indices; stop when the global
-          // budget is spent.
-          const uint64_t begin = next_job.fetch_add(
-              static_cast<uint64_t>(batch));
-          if (begin >= total_jobs) break;
-          const uint64_t count =
-              std::min<uint64_t>(static_cast<uint64_t>(batch),
-                                 total_jobs - begin);
-          std::ostringstream req;
-          req << "{\"cmd\": \"submit\", \"stream\": true, \"jobs\": [";
-          for (uint64_t i = 0; i < count; ++i) {
-            req << (i ? ", " : "")
-                << spec_jsons[(begin + i) % spec_jsons.size()];
-          }
-          req << "]}";
-          const auto submit_at = clock::now();
-          client.send_line(req.str());
-          // One accepted line, then `count` verdict events in completion
-          // order; each event's latency is measured against the batch's
-          // submission instant.
-          uint64_t seen = 0;
-          bool accepted = false;
-          while (seen < count) {
-            const auto line = client.read_line();
-            if (!line) {
-              errors.fetch_add(count - seen);
-              return;
-            }
-            if (line->find("\"event\": \"verdict\"") != std::string::npos) {
-              const double ms =
-                  std::chrono::duration<double, std::milli>(clock::now() -
-                                                            submit_at)
-                      .count();
-              local.push_back(ms);
-              ++seen;
-            } else if (line->find("\"event\": \"accepted\"") !=
-                       std::string::npos) {
-              accepted = true;
-            } else if (line->find("\"event\": \"error\"") !=
-                       std::string::npos) {
-              // Rejected batch (e.g. over quota): nothing will stream.
-              errors.fetch_add(count);
-              break;
-            }
-          }
-          (void)accepted;
-        }
-      } catch (const std::exception&) {
-        errors.fetch_add(1);
-      }
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      latencies_ms.insert(latencies_ms.end(), local.begin(), local.end());
-    });
+Client::Streamed Client::submit_stream(const std::vector<std::string>& jobs) {
+  std::string req = "{\"cmd\": \"submit\", \"stream\": true, \"jobs\": [";
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    if (i != 0) req += ", ";
+    req += jobs[i];
   }
-  for (auto& t : threads) t.join();
-  const auto t1 = clock::now();
+  req += "]}";
 
-  LoadStats stats;
-  stats.jobs = latencies_ms.size();
-  stats.errors = errors.load();
-  stats.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  if (stats.wall_s > 0.0) {
-    stats.jobs_per_sec = static_cast<double>(stats.jobs) / stats.wall_s;
+  Streamed out;
+  out.reply = request(req);
+  const JsonValue reply = JsonValue::parse(out.reply);
+  out.accepted = reply.get_string("event") == "accepted";
+  // An error reply lists the accepted prefix; those jobs still run and
+  // stream their events on this connection.
+  std::map<uint64_t, size_t> slot;
+  if (const JsonValue* ids = reply.get(out.accepted ? "ids" : "accepted")) {
+    for (const JsonValue& id : ids->as_array()) {
+      const size_t index = slot.size();
+      slot.emplace(id.as_u64(), index);
+    }
   }
-  if (!latencies_ms.empty()) {
-    std::sort(latencies_ms.begin(), latencies_ms.end());
-    const auto at = [&](double q) {
-      const size_t i = static_cast<size_t>(
-          q * static_cast<double>(latencies_ms.size() - 1));
-      return latencies_ms[i];
-    };
-    stats.p50_ms = at(0.50);
-    stats.p99_ms = at(0.99);
+  out.events.resize(slot.size());
+  for (size_t seen = 0; seen < slot.size();) {
+    auto line = read_line();
+    if (!line) throw std::runtime_error("daemon hung up mid-stream");
+    const auto it = slot.find(JsonValue::parse(*line).get_u64("id"));
+    if (it == slot.end() || !out.events[it->second].empty()) continue;
+    out.events[it->second] = std::move(*line);
+    ++seen;
   }
-  return stats;
+  return out;
 }
 
 }  // namespace ptaint::serve

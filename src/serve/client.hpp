@@ -2,14 +2,10 @@
 //
 // Client is a thin line-oriented connection: one newline-delimited JSON
 // request out, reply lines (and, for streaming submits, verdict events)
-// back.  run_load() is the load generator shared by `ptaint-client load`
-// and bench_serve: it drives streaming submissions over several
-// concurrent connections and reports sustained throughput plus p50/p99
-// per-job latency, measured from batch submission to each job's verdict
-// event arriving back over the socket.
+// back.  submit_stream() is the one streaming-submit sequence, shared by
+// ptaint-client and bench_serve.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,26 +33,27 @@ class Client {
   /// daemon hangs up before replying.
   std::string request(const std::string& line);
 
+  /// What one streaming submit got back.
+  struct Streamed {
+    /// The daemon's reply line: an `accepted` event, or an `error` event
+    /// when it rejected the batch or a suffix of it (over quota, draining).
+    std::string reply;
+    bool accepted = false;
+    /// One event line per job the daemon accepted (a `verdict`, or
+    /// `cancelled` if another client cancelled it), in submission order
+    /// although they stream in completion order.
+    std::vector<std::string> events;
+  };
+
+  /// Submits `jobs` (each a JSON job-spec object) as one streaming batch
+  /// and reads the event of every accepted job, the accepted prefix of a
+  /// rejected batch included, so the connection is ready for the next
+  /// request.  Throws std::runtime_error if the daemon hangs up first.
+  Streamed submit_stream(const std::vector<std::string>& jobs);
+
  private:
   int fd_ = -1;
   std::string buffer_;
 };
-
-struct LoadStats {
-  uint64_t jobs = 0;         // verdict events received
-  uint64_t errors = 0;       // error events / rejected submissions
-  double wall_s = 0.0;       // submission of first batch -> last verdict
-  double jobs_per_sec = 0.0;
-  double p50_ms = 0.0;       // per-job submit->verdict latency
-  double p99_ms = 0.0;
-};
-
-/// Submits `total_jobs` streaming jobs (cycling through `spec_jsons`,
-/// each a JSON job-spec object) in batches of `batch` across
-/// `connections` concurrent client connections, and waits for every
-/// verdict event.
-LoadStats run_load(const std::string& socket_path,
-                   const std::vector<std::string>& spec_jsons,
-                   uint64_t total_jobs, int connections, int batch);
 
 }  // namespace ptaint::serve

@@ -3,6 +3,7 @@
 // values it rejects instead of silently falling back to a default.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -93,6 +94,24 @@ TEST(EnvParse, RejectsBadValuesNamingTheVariable) {
               std::string("PTAINT_SNAPSHOT_HOT: not a snapshot count: ") + bad)
         << bad;
   }
+}
+
+// Every numeric CLI option: the whole tokens strtoull(s, nullptr, 0) reads,
+// and nothing else.
+TEST(ParseNumber, ReadsStrtoullNotationsAsWholeTokensOnly) {
+  EXPECT_EQ(parse_number("0", UINT64_MAX), 0u);
+  EXPECT_EQ(parse_number("42", UINT64_MAX), 42u);
+  EXPECT_EQ(parse_number("0x100000", UINT64_MAX), 0x100000u);
+  EXPECT_EQ(parse_number("0XfF", UINT64_MAX), 255u);
+  EXPECT_EQ(parse_number("010", UINT64_MAX), 8u);
+  EXPECT_EQ(parse_number("010", UINT64_MAX, 10), 10u);
+  EXPECT_EQ(parse_number("18446744073709551615", UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(parse_number("255", 255), 255u);
+  for (const char* bad : {"", "abc", "2x", "-1", "+1", " 1", "1 ", "0x", "08",
+                          "0x-1", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_number(bad, UINT64_MAX).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_number("256", 255).has_value());
 }
 
 }  // namespace

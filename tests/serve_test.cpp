@@ -15,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/executor.hpp"
@@ -663,6 +664,71 @@ TEST_F(ServeDaemonTest, QuotaRejectionReportsAcceptedPrefix) {
     // the submission simply succeeds.  Either way nothing is lost.
     EXPECT_NE(reply.find("\"event\": \"accepted\""), std::string::npos);
   }
+}
+
+// submit_stream re-slots events by id: the SPEC job submitted first runs
+// for milliseconds while the attack cells behind it finish in well under
+// one, so its verdict streams last yet comes back first.
+TEST_F(ServeDaemonTest, SubmitStreamReturnsRowsInSubmissionOrder) {
+  boot(/*workers=*/2);
+  Client client(config_.socket_path);
+  const std::vector<std::pair<std::string, std::string>> cells = {
+      {"spec", "GZIP"},
+      {"attack", "exp1-stack-smash"},
+      {"attack", "exp2-heap-corruption"},
+      {"attack", "exp3-format-string"},
+      {"attack", "exp1-stack-smash"},
+  };
+  std::vector<std::string> jobs;
+  for (const auto& [app, payload] : cells) {
+    jobs.push_back("{\"app\": \"" + app + "\", \"payload\": \"" + payload +
+                   "\"}");
+  }
+  const Client::Streamed streamed = client.submit_stream(jobs);
+  ASSERT_TRUE(streamed.accepted) << streamed.reply;
+  const JsonValue accepted = JsonValue::parse(streamed.reply);
+  const std::vector<JsonValue>& ids = accepted.get("ids")->as_array();
+  ASSERT_EQ(ids.size(), cells.size());
+  ASSERT_EQ(streamed.events.size(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const JsonValue event = JsonValue::parse(streamed.events[i]);
+    EXPECT_EQ(event.get_string("event"), "verdict") << i;
+    EXPECT_EQ(event.get_u64("id"), ids[i].as_u64()) << i;
+    const JsonValue* row = event.get("result");
+    ASSERT_NE(row, nullptr) << i;
+    EXPECT_EQ(row->get_string("app"), cells[i].first) << i;
+    EXPECT_EQ(row->get_string("payload"), cells[i].second) << i;
+  }
+}
+
+// A batch over the tenant's quota comes back as the daemon's error line,
+// after the accepted prefix's verdicts have been read, so the connection
+// carries the next request cleanly.
+TEST_F(ServeDaemonTest, SubmitStreamReportsOverQuotaErrorLine) {
+  boot(/*workers=*/1, /*quota=*/1);
+  Client client(config_.socket_path);
+  const std::string attack =
+      "{\"app\": \"attack\", \"payload\": \"exp1-stack-smash\"}";
+  // The SPEC job holds the tenant's one live slot for milliseconds; the
+  // next job in the batch is submitted microseconds later.
+  const Client::Streamed streamed = client.submit_stream(
+      {"{\"app\": \"spec\", \"payload\": \"GZIP\"}", attack, attack});
+  EXPECT_FALSE(streamed.accepted);
+  const JsonValue reply = JsonValue::parse(streamed.reply);
+  EXPECT_EQ(reply.get_string("event"), "error");
+  EXPECT_NE(reply.get_string("message").find("over quota"), std::string::npos)
+      << streamed.reply;
+  ASSERT_NE(reply.get("accepted"), nullptr);
+  ASSERT_EQ(reply.get("accepted")->as_array().size(), 1u);
+  ASSERT_EQ(streamed.events.size(), 1u);
+  EXPECT_NE(streamed.events[0].find("\"payload\": \"GZIP\""),
+            std::string::npos);
+
+  const Client::Streamed next = client.submit_stream({attack});
+  ASSERT_TRUE(next.accepted) << next.reply;
+  ASSERT_EQ(next.events.size(), 1u);
+  EXPECT_NE(next.events[0].find("\"verdict\": \"DETECTED\""),
+            std::string::npos);
 }
 
 TEST_F(ServeDaemonTest, DrainCompletesEverythingThenRejects) {

@@ -41,6 +41,7 @@
 //   3  at least one job timed out (and none harness-errored)
 //   4  usage error (bad campaign name, bad option, unwritable sidecar)
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -123,11 +124,16 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
+    auto number = [&](uint64_t max) {
+      const auto n = cpu::parse_number(value(), max);
+      if (!n) usage();
+      return *n;
+    };
     if (arg == "--workers") {
-      config.workers = static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
+      config.workers = static_cast<int>(number(INT_MAX));
       if (config.workers < 1) usage();
     } else if (arg == "--spec-scale") {
-      spec_scale = static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
+      spec_scale = static_cast<int>(number(INT_MAX));
       if (spec_scale < 1) usage();
     } else if (arg == "--serial") {
       serial = true;

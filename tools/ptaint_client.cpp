@@ -18,24 +18,23 @@
 //   cancel <id>                   cancel a queued job
 //   drain                         stop intake, wait until idle
 //   shutdown                      ask the daemon to exit
-//   load [--jobs N] [--connections N] [--batch N] [--spec-scale N]
-//       drive the ablation attack cells as a sustained load and print
-//       jobs/sec and p50/p99 latency
 //
 // Exit codes: 0 ok, 1 daemon reported an error event, 2 at least one
 // streamed verdict was a harness error, 3 at least one timed out,
 // 4 usage/connection error.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/campaigns.hpp"
 #include "campaign/report.hpp"
+#include "cpu/env.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
 
@@ -51,8 +50,7 @@ namespace {
          "         [--elide] [--timeout-ms N] [--wait]\n"
          "  campaign <name> [--spec-scale N] [--tenant T] [--engine E]\n"
          "         [--elide] [--render|--rows]\n"
-         "  status | result <id> | cancel <id> | drain | shutdown\n"
-         "  load [--jobs N] [--connections N] [--batch N] [--spec-scale N]\n";
+         "  status | result <id> | cancel <id> | drain | shutdown\n";
   std::exit(4);
 }
 
@@ -119,14 +117,19 @@ int main(int argc, char** argv) {
   // Per-subcommand options.
   std::string policy = "paper", tenant = "default", engine;
   bool elide = false, wait = false, render = true;
-  uint64_t timeout_ms = 0, jobs = 2000;
-  int connections = 4, batch = 32, spec_scale = 1;
+  uint64_t timeout_ms = 0;
+  int spec_scale = 1;
   std::vector<std::string> positional;
   for (size_t i = 1; i < rest.size(); ++i) {
     const std::string& arg = rest[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= rest.size()) usage();
       return rest[++i];
+    };
+    auto number = [&](uint64_t max) {
+      const auto n = cpu::parse_number(value(), max);
+      if (!n) usage();
+      return *n;
     };
     if (arg == "--policy") {
       policy = value();
@@ -143,15 +146,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--rows") {
       render = false;
     } else if (arg == "--timeout-ms") {
-      timeout_ms = std::strtoull(value().c_str(), nullptr, 0);
-    } else if (arg == "--jobs") {
-      jobs = std::strtoull(value().c_str(), nullptr, 0);
-    } else if (arg == "--connections") {
-      connections = static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
-    } else if (arg == "--batch") {
-      batch = static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
+      timeout_ms = number(UINT64_MAX);
     } else if (arg == "--spec-scale") {
-      spec_scale = static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
+      spec_scale = static_cast<int>(number(INT_MAX));
       if (spec_scale < 1) usage();
     } else if (!arg.empty() && arg[0] == '-') {
       usage();
@@ -160,28 +157,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  try {
-    if (cmd == "load") {
-      // The seed load: every detectable attack cell of the ablation matrix
-      // under the paper policy — small guests, one shared snapshot each.
-      std::vector<std::string> specs;
-      for (const auto& cell : campaign::campaign_cells("ablation", spec_scale)) {
-        if (cell.app != "attack") continue;
-        if (cell.policy != "paper (all rules on)") continue;
-        specs.push_back(spec_json(cell.app, cell.payload, cell.policy, tenant,
-                                  engine, elide, timeout_ms));
-      }
-      const LoadStats stats =
-          run_load(socket_path, specs, jobs, connections, batch);
-      std::printf(
-          "load: %llu jobs in %.2fs = %.0f jobs/s (p50 %.2fms, p99 %.2fms, "
-          "%llu errors)\n",
-          static_cast<unsigned long long>(stats.jobs), stats.wall_s,
-          stats.jobs_per_sec, stats.p50_ms, stats.p99_ms,
-          static_cast<unsigned long long>(stats.errors));
-      return stats.errors == 0 ? 0 : 1;
-    }
+  std::optional<uint64_t> id;  // of `result` and `cancel`
+  if (cmd == "result" || cmd == "cancel") {
+    if (positional.size() != 1) usage();
+    id = cpu::parse_number(positional[0], UINT64_MAX);
+    if (!id) usage();
+  }
 
+  try {
     Client client(socket_path);
 
     if (cmd == "status") {
@@ -197,36 +180,29 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cmd == "result" || cmd == "cancel") {
-      if (positional.size() != 1) usage();
-      std::cout << client.request("{\"cmd\": \"" + cmd +
-                                  "\", \"id\": " + positional[0] + "}")
+      std::cout << client.request("{\"cmd\": \"" + cmd + "\", \"id\": " +
+                                  std::to_string(*id) + "}")
                 << "\n";
       return 0;
     }
 
     if (cmd == "submit") {
       if (positional.size() != 2) usage();
-      std::ostringstream req;
-      req << "{\"cmd\": \"submit\"";
-      if (wait) req << ", \"stream\": true";
-      req << ", \"job\": "
-          << spec_json(positional[0], positional[1], policy, tenant, engine,
-                       elide, timeout_ms)
-          << "}";
-      const std::string reply = client.request(req.str());
-      std::cout << reply << "\n";
-      if (reply.find("\"event\": \"error\"") != std::string::npos) return 1;
-      if (wait) {
-        const auto event = client.read_line();
-        if (!event) {
-          std::cerr << "ptaint-client: daemon hung up before the verdict\n";
-          return 4;
-        }
-        std::cout << *event << "\n";
-        const JsonValue v = JsonValue::parse(*event);
-        if (const JsonValue* row = v.get("result")) {
-          return campaign::exit_code_for({result_from_row(*row)});
-        }
+      const std::string spec = spec_json(positional[0], positional[1], policy,
+                                         tenant, engine, elide, timeout_ms);
+      if (!wait) {
+        const std::string reply =
+            client.request("{\"cmd\": \"submit\", \"job\": " + spec + "}");
+        std::cout << reply << "\n";
+        return reply.find("\"event\": \"error\"") != std::string::npos ? 1 : 0;
+      }
+      const Client::Streamed streamed = client.submit_stream({spec});
+      std::cout << streamed.reply << "\n";
+      if (!streamed.accepted) return 1;
+      std::cout << streamed.events[0] << "\n";
+      const JsonValue event = JsonValue::parse(streamed.events[0]);
+      if (const JsonValue* row = event.get("result")) {
+        return campaign::exit_code_for({result_from_row(*row)});
       }
       return 0;
     }
@@ -234,56 +210,32 @@ int main(int argc, char** argv) {
     if (cmd == "campaign") {
       if (positional.size() != 1) usage();
       const std::string name = positional[0];
-      const std::vector<campaign::CellRef> cells =
-          campaign::campaign_cells(name, spec_scale);
-      std::ostringstream req;
-      req << "{\"cmd\": \"submit\", \"stream\": true, \"jobs\": [";
-      for (size_t i = 0; i < cells.size(); ++i) {
-        req << (i ? ", " : "")
-            << spec_json(cells[i].app, cells[i].payload, cells[i].policy,
-                         tenant, engine, elide, timeout_ms);
+      std::vector<std::string> specs;
+      for (const campaign::CellRef& cell :
+           campaign::campaign_cells(name, spec_scale)) {
+        specs.push_back(spec_json(cell.app, cell.payload, cell.policy, tenant,
+                                  engine, elide, timeout_ms));
       }
-      req << "]}";
-      const std::string accepted = client.request(req.str());
-      if (accepted.find("\"event\": \"accepted\"") == std::string::npos) {
-        std::cerr << "ptaint-client: " << accepted << "\n";
+      const Client::Streamed streamed = client.submit_stream(specs);
+      if (!streamed.accepted) {
+        std::cerr << "ptaint-client: " << streamed.reply << "\n";
         return 1;
       }
-      // Accepted ids correspond to cells in submission order; verdicts
-      // stream back in completion order and are re-slotted by id.
-      const JsonValue accepted_json = JsonValue::parse(accepted);
-      std::vector<uint64_t> ids;
-      for (const JsonValue& id : accepted_json.get("ids")->as_array()) {
-        ids.push_back(id.as_u64());
-      }
-      std::map<uint64_t, size_t> slot;
-      for (size_t i = 0; i < ids.size(); ++i) slot[ids[i]] = i;
-      std::vector<campaign::JobResult> results(cells.size());
-      std::vector<std::string> rows(cells.size());
-      for (size_t seen = 0; seen < ids.size(); ++seen) {
-        const auto line = client.read_line();
-        if (!line) {
-          std::cerr << "ptaint-client: daemon hung up mid-stream\n";
-          return 4;
-        }
-        const JsonValue event = JsonValue::parse(*line);
-        if (event.get_string("event") != "verdict") {
-          std::cerr << "ptaint-client: " << *line << "\n";
+      std::vector<campaign::JobResult> results(specs.size());
+      for (size_t i = 0; i < results.size(); ++i) {
+        const JsonValue event = JsonValue::parse(streamed.events[i]);
+        const JsonValue* row = event.get("result");
+        if (row == nullptr) {  // cancelled by another client
+          std::cerr << "ptaint-client: " << streamed.events[i] << "\n";
           return 1;
         }
-        const auto it = slot.find(event.get_u64("id"));
-        if (it == slot.end()) continue;
-        const JsonValue* row = event.get("result");
-        if (row == nullptr) continue;
-        campaign::JobResult r = result_from_row(*row);
-        r.index = it->second;
-        results[it->second] = std::move(r);
-        rows[it->second] = *line;
+        results[i] = result_from_row(*row);
+        results[i].index = i;
       }
       if (render) {
         std::fputs(campaign::format_campaign(name, results).c_str(), stdout);
       } else {
-        for (const std::string& row : rows) std::cout << row << "\n";
+        for (const std::string& row : streamed.events) std::cout << row << "\n";
       }
       return campaign::exit_code_for(results);
     }

@@ -27,6 +27,8 @@
 // x86-64 on top of the same translation cache; on non-x86-64 hosts it
 // falls back to superblock with a warning.  Trace/profile/pipeline runs
 // use the step path regardless, since they subscribe to per-retire events.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +36,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -97,6 +100,11 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
+    auto number = [&](std::string_view text, uint64_t max) {
+      const auto n = cpu::parse_number(text, max);
+      if (!n) usage();
+      return *n;
+    };
     if (arg == "--help") {
       std::printf("%s", R"(ptaint-run: pointer-taintedness detection simulator
 usage: ptaint-run [options] program.s [more.s ...]
@@ -152,27 +160,25 @@ exit codes: 0 clean exit, 1 nonzero guest exit, 2 security alert,
     } else if (arg == "--nx") {
       cfg.policy.nx_protection = true;
     } else if (arg == "--aslr") {
-      cfg.aslr_entropy_bits =
-          static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
+      cfg.aslr_entropy_bits = static_cast<int>(number(value(), INT_MAX));
     } else if (arg == "--aslr-seed") {
-      cfg.aslr_seed =
-          static_cast<uint32_t>(std::strtoul(value().c_str(), nullptr, 0));
+      cfg.aslr_seed = static_cast<uint32_t>(number(value(), UINT32_MAX));
     } else if (arg == "--protect") {
       const std::string spec = value();
       const size_t colon = spec.find(':');
       if (colon == std::string::npos) usage();
       protects.emplace_back(
           spec.substr(0, colon),
-          static_cast<uint32_t>(std::strtoul(spec.c_str() + colon + 1,
-                                             nullptr, 0)));
+          static_cast<uint32_t>(
+              number(std::string_view(spec).substr(colon + 1), UINT32_MAX)));
     } else if (arg == "--trace") {
-      trace_n = std::strtoul(value().c_str(), nullptr, 0);
+      trace_n = number(value(), SIZE_MAX);
     } else if (arg == "--profile") {
       want_profile = true;
     } else if (arg == "--pipeline") {
       cfg.pipeline_model = true;
     } else if (arg == "--max-instr") {
-      cfg.max_instructions = std::strtoull(value().c_str(), nullptr, 0);
+      cfg.max_instructions = number(value(), UINT64_MAX);
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--listing") {

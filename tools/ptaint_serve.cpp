@@ -29,6 +29,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -71,26 +73,27 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
+    auto number = [&](uint64_t max) {
+      const auto n = ptaint::cpu::parse_number(value(), max);
+      if (!n) usage();
+      return *n;
+    };
     if (arg == "--socket") {
       config.socket_path = value();
     } else if (arg == "--journal") {
       config.journal_path = value();
     } else if (arg == "--workers") {
-      config.workers = static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
+      config.workers = static_cast<int>(number(INT_MAX));
       if (config.workers < 1) usage();
     } else if (arg == "--quota") {
-      config.tenant_quota =
-          static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
-      if (config.tenant_quota < 0) usage();
+      config.tenant_quota = static_cast<int>(number(INT_MAX));
     } else if (arg == "--spec-scale") {
-      config.spec_scale =
-          static_cast<int>(std::strtol(value().c_str(), nullptr, 0));
+      config.spec_scale = static_cast<int>(number(INT_MAX));
       if (config.spec_scale < 1) usage();
     } else if (arg == "--timeout-ms") {
-      config.default_timeout_ms = std::strtoull(value().c_str(), nullptr, 0);
-      if (config.default_timeout_ms > JobSpec::kMaxTimeoutMs) usage();
+      config.default_timeout_ms = number(JobSpec::kMaxTimeoutMs);
     } else if (arg == "--slice") {
-      config.slice_instructions = std::strtoull(value().c_str(), nullptr, 0);
+      config.slice_instructions = number(UINT64_MAX);
       if (config.slice_instructions == 0) usage();
     } else if (arg == "--snapshot-store") {
       config.snapshot_store = true;
